@@ -1,9 +1,14 @@
 """Experiment harness: split grids, repetition averaging, and report emission.
 
 A protocol names a list of batchwise splits (training fraction, batch count)
-or a foldwise fold count. Each grid cell runs the penalised trainer plus both
-cross-validation baselines ``repetitions`` times with seeds derived by hashing
-the cell configuration, then averages. Reports store the raw per-batch
+or a foldwise fold count, and a sweep adds a grid of penalty strengths. The
+unit of work is one (split, repetition), seeded by hashing the split
+configuration: it materialises the data, the validation split and the plan
+once, trains both cross-validation baselines once (they do not depend on
+lambda), then the penalised trainer once per distinct lambda. Every lambda
+row of the split shares those baseline outcomes, averaged over repetitions.
+A time budget is checked before each split, and an exhausted budget skips
+the whole split: all of its lambda rows. Reports store the raw per-batch
 accuracy columns next to every derived statistic so a verifier can recompute
 them; printed deltas are never trusted anywhere.
 
@@ -42,6 +47,7 @@ BATCHWISE_GRID = ((0.05, 20), (0.10, 10), (0.15, 6), (0.20, 5), (0.25, 4), (0.50
 LAMBDA_GRID = (0.01, 0.04, 0.07, 0.1)
 
 RUN_MODES = ("c3", "cv_sequential", "cv_independent")
+_BASELINES = RUN_MODES[1:]
 
 
 class BenchError(ValueError):
@@ -70,6 +76,8 @@ class ProtocolSpec:
             raise BenchError("foldwise mode needs at least 2 folds")
         if any(lam < 0 for lam in self.lambda_grid):
             raise BenchError("lambda grid values must be >= 0")
+        if len(set(self.splits)) != len(self.splits):
+            raise BenchError("splits must be distinct")
         for fraction, k in self.splits:
             if k < 1:
                 raise BenchError(f"batch count must be >= 1, got {k}")
@@ -95,6 +103,71 @@ def derive_seed(base_seed: int, cell_key: str, rep: int) -> int:
     """Stable 63-bit seed from the base seed, cell description, and repetition."""
     digest = hashlib.sha256(f"{base_seed}|{cell_key}|{rep}".encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_mode_map(value, check) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(k, str) and check(v) for k, v in value.items()
+    )
+
+
+def _is_number_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+# Payload value kinds: (predicate, what the error message says is expected).
+_KINDS = {
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "boolean": (lambda v: isinstance(v, bool), "a boolean"),
+    "integer": (_is_int, "an integer"),
+    "number": (_is_number, "a number"),
+    "number or null": (lambda v: v is None or _is_number(v), "a number or null"),
+    "list": (lambda v: isinstance(v, list), "a list"),
+    "integers": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    "mode numbers": (lambda v: _is_mode_map(v, _is_number), "an object of numbers"),
+    "mode number lists": (
+        lambda v: _is_mode_map(v, _is_number_list), "an object of number lists"
+    ),
+    "series": (
+        lambda v: isinstance(v, list)
+        and all(isinstance(p, list) and len(p) == 2 and _is_number_list(p) for p in v),
+        "a list of [lambda, accuracy] pairs",
+    ),
+}
+
+_ROW_FIELDS = {
+    "label": "string",
+    "fraction": "number or null",
+    "batch_count": "integer",
+    "lambda": "number",
+    "seeds": "integers",
+    "config_hash": "string",
+    "batch_acc": "mode number lists",
+    "final_acc": "mode numbers",
+    "mean": "mode numbers",
+    "variance": "mode numbers",
+    "delta1": "number or null",
+    "delta2": "number or null",
+    "delta3": "number or null",
+    "skipped": "boolean",
+}
+
+
+def _field(payload: dict, key: str, kind: str, where: str):
+    if key not in payload:
+        raise BenchError(f"{where}: missing key {key!r}")
+    check, expected = _KINDS[kind]
+    if not check(payload[key]):
+        raise BenchError(f"{where}: {key!r} must be {expected}")
+    return payload[key]
 
 
 @dataclass(frozen=True)
@@ -135,22 +208,26 @@ class ReportRow:
         }
 
     @classmethod
-    def from_json_dict(cls, payload: dict) -> "ReportRow":
+    def from_json_dict(cls, payload: dict, where: str = "report row") -> "ReportRow":
+        """Parse one row; a missing key or a wrongly typed value is a BenchError."""
+        if not isinstance(payload, dict):
+            raise BenchError(f"{where} must be a JSON object")
+        fields = {key: _field(payload, key, kind, where) for key, kind in _ROW_FIELDS.items()}
         return cls(
-            label=payload["label"],
-            fraction=payload["fraction"],
-            batch_count=payload["batch_count"],
-            lam=payload["lambda"],
-            seeds=tuple(payload["seeds"]),
-            config_hash=payload["config_hash"],
-            batch_acc={m: tuple(v) for m, v in payload["batch_acc"].items()},
-            final_acc=dict(payload["final_acc"]),
-            mean=dict(payload["mean"]),
-            variance=dict(payload["variance"]),
-            delta1=payload["delta1"],
-            delta2=payload["delta2"],
-            delta3=payload["delta3"],
-            skipped=payload["skipped"],
+            label=fields["label"],
+            fraction=fields["fraction"],
+            batch_count=fields["batch_count"],
+            lam=fields["lambda"],
+            seeds=tuple(fields["seeds"]),
+            config_hash=fields["config_hash"],
+            batch_acc={m: tuple(v) for m, v in fields["batch_acc"].items()},
+            final_acc=dict(fields["final_acc"]),
+            mean=dict(fields["mean"]),
+            variance=dict(fields["variance"]),
+            delta1=fields["delta1"],
+            delta2=fields["delta2"],
+            delta3=fields["delta3"],
+            skipped=fields["skipped"],
         )
 
 
@@ -177,12 +254,20 @@ class ExperimentReport:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ExperimentReport":
+        """Parse a report; a missing key or a wrongly typed value is a BenchError."""
+        if not isinstance(payload, dict):
+            raise BenchError("report must be a JSON object")
         if payload.get("schema_version") != REPORT_SCHEMA_VERSION:
             raise BenchError(f"unsupported report schema {payload.get('schema_version')!r}")
+        base_seed = _field(payload, "base_seed", "integer", "report")
+        rows = _field(payload, "rows", "list", "report")
+        series = _field(payload, "lambda_series", "series", "report")
         return cls(
-            base_seed=payload["base_seed"],
-            rows=tuple(ReportRow.from_json_dict(r) for r in payload["rows"]),
-            lambda_series=tuple((p[0], p[1]) for p in payload["lambda_series"]),
+            base_seed=base_seed,
+            rows=tuple(
+                ReportRow.from_json_dict(r, f"report row {i}") for i, r in enumerate(rows)
+            ),
+            lambda_series=tuple((p[0], p[1]) for p in series),
         )
 
     @classmethod
@@ -246,14 +331,45 @@ def _materialise(source, k: int, samples: int, seed: int):
     raise BenchError(f"unsupported data source {type(source).__name__}")
 
 
-def _run_cell_rep(args) -> tuple[int, int, dict]:
-    """One (cell, repetition) unit of work; shaped for executor.map."""
-    (cell_idx, rep, source, proto, train_cfg, spec, fraction, k, lam, seed, samples) = args
+def _accuracies(trace) -> tuple[list[float], float]:
+    """Per-batch and final validation accuracy of one run, in percent."""
+    return [a * 100.0 for a in trace.per_batch_accuracies()], trace.final_accuracy() * 100.0
+
+
+def _train_split(train, val, plan, spec, train_cfg, seed, lambdas) -> list[dict]:
+    """Every distinct training of one (train, validation, plan) split.
+
+    Both baselines train once, and ``c3`` once per distinct lambda; returns
+    one ``{mode: (batch accuracies, final accuracy)}`` outcome per entry of
+    ``lambdas``, each holding the shared baseline outcomes.
+    """
+    baselines = {
+        mode: _accuracies(
+            shift_correction(train, val, plan, spec, _mode_config(train_cfg, mode, 0.0, seed))
+        )
+        for mode in _BASELINES
+    }
+    c3 = {
+        lam: _accuracies(
+            shift_correction(train, val, plan, spec, _mode_config(train_cfg, "c3", lam, seed))
+        )
+        for lam in dict.fromkeys(lambdas)
+    }
+    return [{"c3": c3[lam], **baselines} for lam in lambdas]
+
+
+def _run_split_rep(args) -> list[dict]:
+    """One (split, repetition) unit of work; shaped for executor.map.
+
+    Materialises the data, the validation split and the plan once, then
+    trains through ``_train_split``; foldwise mode averages the outcomes over
+    the fold rotations. Returns one outcome per entry of ``lambdas``.
+    """
+    (source, proto, train_cfg, spec, k, lambdas, seed, samples) = args
     stages = k if proto.mode == "batchwise" else proto.folds
     dataset, shuffle_default = _materialise(source, stages, samples, seed)
     shuffle = proto.shuffle if proto.shuffle is not None else shuffle_default
 
-    outcome: dict = {}
     if proto.mode == "batchwise":
         train, val, train_idx, val_idx = train_validation_split(
             dataset, proto.validation_fraction, seed=seed
@@ -261,33 +377,29 @@ def _run_cell_rep(args) -> tuple[int, int, dict]:
         if np.intersect1d(train_idx, val_idx).size:
             raise BenchError("validation rows overlap the training rows")
         plan = fragment(train, k, seed=seed, shuffle=shuffle)
+        return _train_split(train, val, plan, spec, train_cfg, seed, lambdas)
+
+    folds = fragment(dataset, proto.folds, seed=seed, shuffle=shuffle)
+    rotations = []
+    for rot in range(proto.folds):
+        val = dataset.subset(folds.batch_indices(rot))
+        train_rows = [folds.batch_indices(i) for i in range(proto.folds) if i != rot]
+        train = dataset.subset(np.concatenate(train_rows))
+        plan = _plan_from_sizes([rows.size for rows in train_rows])
+        rotations.append(_train_split(train, val, plan, spec, train_cfg, seed, lambdas))
+    outcomes = []
+    for j in range(len(lambdas)):
+        outcome = {}
         for mode in RUN_MODES:
-            cfg = _mode_config(train_cfg, mode, lam, seed)
-            trace = shift_correction(train, val, plan, spec, cfg)
-            outcome[mode] = (
-                [a * 100.0 for a in trace.per_batch_accuracies()],
-                trace.final_accuracy() * 100.0,
-            )
-    else:
-        folds = fragment(dataset, proto.folds, seed=seed, shuffle=shuffle)
-        sums = {mode: np.zeros(proto.folds - 1) for mode in RUN_MODES}
-        finals = {mode: 0.0 for mode in RUN_MODES}
-        for rot in range(proto.folds):
-            val = dataset.subset(folds.batch_indices(rot))
-            train_rows = [folds.batch_indices(i) for i in range(proto.folds) if i != rot]
-            train = dataset.subset(np.concatenate(train_rows))
-            plan = _plan_from_sizes([rows.size for rows in train_rows])
-            for mode in RUN_MODES:
-                cfg = _mode_config(train_cfg, mode, lam, seed)
-                trace = shift_correction(train, val, plan, spec, cfg)
-                sums[mode] += np.asarray(trace.per_batch_accuracies()) * 100.0
-                finals[mode] += trace.final_accuracy() * 100.0
-        for mode in RUN_MODES:
-            outcome[mode] = (
-                (sums[mode] / proto.folds).tolist(),
-                finals[mode] / proto.folds,
-            )
-    return cell_idx, rep, outcome
+            sums = np.zeros(proto.folds - 1)
+            final = 0.0
+            for rotation in rotations:
+                accs, rotation_final = rotation[j][mode]
+                sums += np.asarray(accs)
+                final += rotation_final
+            outcome[mode] = ((sums / proto.folds).tolist(), final / proto.folds)
+        outcomes.append(outcome)
+    return outcomes
 
 
 def _mode_config(train_cfg: TrainConfig, mode: str, lam: float, seed: int) -> TrainConfig:
@@ -300,16 +412,11 @@ def _mode_config(train_cfg: TrainConfig, mode: str, lam: float, seed: int) -> Tr
     )
 
 
-def _cells(proto: ProtocolSpec, lambdas) -> list[tuple]:
-    cells = []
+def _splits(proto: ProtocolSpec) -> tuple[tuple, ...]:
+    """(fraction, batch count) of each split; foldwise has one, of folds - 1 batches."""
     if proto.mode == "batchwise":
-        for fraction, k in proto.splits:
-            for lam in lambdas:
-                cells.append((fraction, k, lam))
-    else:
-        for lam in lambdas:
-            cells.append((None, proto.folds - 1, lam))
-    return cells
+        return proto.splits
+    return ((None, proto.folds - 1),)
 
 
 def _assemble_row(label, fraction, k, lam, seeds, config_hash, rep_outcomes, reference):
@@ -365,55 +472,45 @@ def _row_label(proto: ProtocolSpec, fraction, k: int) -> str:
 
 
 def _execute(source, proto, train_cfg, spec, lambdas, samples, reference, jobs):
+    """One report row per (split, lambda), split-major.
+
+    The unit of work is (split, repetition): its baselines run once and are
+    shared by every lambda row of the split. The time budget is checked
+    before each split, and an exhausted budget skips all of its rows.
+    """
     started = time.monotonic()
-    cells = _cells(proto, lambdas)
-    tasks = []
-    cell_meta = []
-    for cell_idx, (fraction, k, lam) in enumerate(cells):
-        key = _cell_key(proto.mode, fraction, k)
-        seeds = [derive_seed(train_cfg.seed, key, r) for r in range(proto.repetitions)]
-        cell_meta.append((fraction, k, lam, key, seeds))
-        for rep, seed in enumerate(seeds):
-            tasks.append(
-                (cell_idx, rep, source, proto, train_cfg, spec, fraction, k, lam, seed, samples)
-            )
-
-    pending: dict[int, list] = {}
-    for task in tasks:
-        pending.setdefault(task[0], []).append(task)
-
-    results: dict[tuple[int, int], dict] = {}
-    skipped_cells: set[int] = set()
+    rows = []
     pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     try:
-        for cell_idx in sorted(pending):
+        for fraction, k in _splits(proto):
+            key = _cell_key(proto.mode, fraction, k)
+            label = _row_label(proto, fraction, k)
+            config_hash = _config_hash(key, train_cfg, spec)
             if (
                 proto.time_budget_s is not None
                 and time.monotonic() - started > proto.time_budget_s
             ):
-                skipped_cells.add(cell_idx)
+                rows.extend(_skipped_row(label, fraction, k, lam, config_hash) for lam in lambdas)
                 continue
+            seeds = [derive_seed(train_cfg.seed, key, r) for r in range(proto.repetitions)]
+            tasks = [
+                (source, proto, train_cfg, spec, k, tuple(lambdas), seed, samples)
+                for seed in seeds
+            ]
             if pool is not None:
-                outcomes = list(pool.map(_run_cell_rep, pending[cell_idx]))
+                per_rep = list(pool.map(_run_split_rep, tasks))
             else:
-                outcomes = [_run_cell_rep(task) for task in pending[cell_idx]]
-            for _, rep, outcome in outcomes:
-                results[(cell_idx, rep)] = outcome
+                per_rep = [_run_split_rep(task) for task in tasks]
+            for j, lam in enumerate(lambdas):
+                rep_outcomes = [outcomes[j] for outcomes in per_rep]
+                rows.append(
+                    _assemble_row(
+                        label, fraction, k, lam, seeds, config_hash, rep_outcomes, reference
+                    )
+                )
     finally:
         if pool is not None:
             pool.shutdown()
-
-    rows = []
-    for cell_idx, (fraction, k, lam, key, seeds) in enumerate(cell_meta):
-        label = _row_label(proto, fraction, k)
-        config_hash = _config_hash(key, train_cfg, spec)
-        if cell_idx in skipped_cells:
-            rows.append(_skipped_row(label, fraction, k, lam, config_hash))
-            continue
-        rep_outcomes = [results[(cell_idx, rep)] for rep in range(proto.repetitions)]
-        rows.append(
-            _assemble_row(label, fraction, k, lam, seeds, config_hash, rep_outcomes, reference)
-        )
     return rows, time.monotonic() - started
 
 
@@ -457,38 +554,80 @@ def lambda_sweep(
     if any(v < 0 for v in values):
         raise BenchError("lambda values must be >= 0")
     rows, elapsed = _execute(source, proto, train_cfg, spec, values, samples, None, jobs)
-    series = []
-    for lam in values:
-        cells = [r for r in rows if r.lam == lam and not r.skipped]
-        if cells:
-            series.append((lam, float(np.mean([r.mean["c3"] for r in cells]))))
     report = ExperimentReport(
         base_seed=train_cfg.seed,
         rows=tuple(rows),
-        lambda_series=tuple(series),
+        lambda_series=_lambda_series(rows, values),
         wall_time_s=elapsed,
     )
     return report, report.lambda_series
 
 
+def _lambda_series(rows, grid) -> tuple[tuple[float, float], ...]:
+    """(lambda, mean c3 accuracy over the non-skipped rows at that lambda), in
+    grid order; a lambda whose rows were all skipped has no point."""
+    series = []
+    for lam in grid:
+        cells = [r for r in rows if r.lam == lam and not r.skipped]
+        if cells:
+            series.append((lam, float(np.mean([r.mean["c3"] for r in cells]))))
+    return tuple(series)
+
+
+def _report_grid(rows) -> list[float]:
+    """The lambda grid of a report: the lambdas of its first split's rows.
+
+    Every split carries one row per grid entry, split-major, and splits are
+    distinct, so the first split's rows are the leading rows that share its
+    label, fraction and batch count.
+    """
+    if not rows:
+        return []
+    first = (rows[0].label, rows[0].fraction, rows[0].batch_count)
+    grid = []
+    for row in rows:
+        if (row.label, row.fraction, row.batch_count) != first:
+            break
+        grid.append(row.lam)
+    return grid
+
+
+def _close(a: float, b: float, tol: float) -> bool:
+    return abs(a - b) <= tol  # False for NaN
+
+
 def verify_report(report: ExperimentReport, tol: float = 1e-9) -> None:
     """Recompute every derived column from the stored raw accuracies.
 
-    Raises on the first discrepancy; printed deltas are never trusted.
+    Raises on the first discrepancy; printed deltas are never trusted. A
+    report that carries a lambda series (``lambda_sweep``) must carry exactly
+    the series its rows give.
     """
     for row in report.rows:
         if row.skipped:
             continue
+        for column in ("batch_acc", "final_acc", "mean", "variance"):
+            if set(getattr(row, column)) != set(RUN_MODES):
+                raise BenchError(f"{row.label}: {column} must hold exactly the modes {RUN_MODES}")
         for mode, accs in row.batch_acc.items():
-            mean = float(np.mean(accs))
-            if abs(mean - row.mean[mode]) > tol:
+            if len(accs) != row.batch_count:
+                raise BenchError(f"{row.label}: {mode} holds {len(accs)} batch accuracies")
+            if not _close(float(np.mean(accs)), row.mean[mode], tol):
                 raise BenchError(f"{row.label}: stored mean for {mode} is inconsistent")
-            if abs(population_variance(accs) - row.variance[mode]) > tol:
+            if not _close(population_variance(accs), row.variance[mode], tol):
                 raise BenchError(f"{row.label}: stored variance for {mode} is inconsistent")
-        if abs(row.delta1 - (row.mean["c3"] - row.mean["cv_independent"])) > tol:
-            raise BenchError(f"{row.label}: stored delta1 is inconsistent")
-        if abs(row.delta3 - (row.mean["c3"] - row.mean["cv_sequential"])) > tol:
-            raise BenchError(f"{row.label}: stored delta3 is inconsistent")
+        for name, other in (("delta1", "cv_independent"), ("delta3", "cv_sequential")):
+            stored = getattr(row, name)
+            if stored is None or not _close(stored, row.mean["c3"] - row.mean[other], tol):
+                raise BenchError(f"{row.label}: stored {name} is inconsistent")
+    if report.lambda_series:
+        expected = _lambda_series(report.rows, _report_grid(report.rows))
+        stored = report.lambda_series
+        if len(stored) != len(expected) or not all(
+            lam == want_lam and _close(acc, want_acc, tol)
+            for (lam, acc), (want_lam, want_acc) in zip(stored, expected)
+        ):
+            raise BenchError("stored lambda series is inconsistent with the rows")
 
 
 def format_delta(value: float | None) -> str:

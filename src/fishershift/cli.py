@@ -15,6 +15,8 @@ import sys
 import tempfile
 from dataclasses import replace
 
+import numpy as np
+
 from .bench import (
     BenchError,
     ProtocolSpec,
@@ -342,7 +344,11 @@ def main(argv=None) -> int:
         "report": cmd_report,
     }
     try:
-        return handlers[args.command](args, parser)
+        # Every non-finite value that matters raises a NumericsError with a
+        # one-line diagnostic, so numpy's own floating-point warnings would
+        # only add lines in front of it.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return handlers[args.command](args, parser)
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

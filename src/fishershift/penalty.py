@@ -172,6 +172,46 @@ def penalty_gradient(
     return grad
 
 
+def penalty_term(
+    state: PenaltyState,
+    cfg: PenaltyConfig,
+    params: ParameterVector,
+    spec: MlpSpec | None = None,
+):
+    """The penalty as a per-step term for ``numerics.train_visit``, or ``None``.
+
+    ``None`` when the penalty is off (``lam = 0`` or an empty state), so the
+    visit trains on plain cross-entropy. Otherwise a function
+    ``term(values, x, labels) -> (value, gradient)`` for the live flat
+    parameter values; the state cannot change within a visit, so the layout
+    check and the constant factors are settled here once. The quadratic term
+    rounds exactly like ``penalty_value`` and ``penalty_gradient``.
+    """
+    if cfg.lam == 0.0 or state.is_empty:
+        return None
+    _check_layout(state, params)
+    acc = state.accumulated
+    if cfg.mode == "quadratic":
+        anchor, diagonal = acc.anchor.values, acc.diagonal
+        half_lam, lam_diagonal = 0.5 * cfg.lam, cfg.lam * diagonal
+
+        def quadratic(values, x, labels):
+            shift = values - anchor
+            # np.add.reduce: np.sum's rounding without its Python wrapper.
+            return float(half_lam * np.add.reduce(diagonal * shift**2)), lam_diagonal * shift
+
+        return quadratic
+
+    def trace(values, x, labels):
+        live = ParameterVector(values.copy(), params.layout)
+        return (
+            penalty_value(state, live, cfg, spec=spec, x=x, labels=labels),
+            penalty_gradient(state, live, cfg, spec=spec, x=x, labels=labels),
+        )
+
+    return trace
+
+
 def penalized_loss_and_grad(
     spec: MlpSpec,
     params: ParameterVector,

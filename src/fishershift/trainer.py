@@ -8,7 +8,15 @@ parameters with the penalty forced off, ``cv_independent`` re-initialises the
 model from the seed before every batch.
 
 Within a run everything is strictly sequential; information only ever flows
-from earlier batches to later ones.
+from earlier batches to later ones. Each visit's minibatch steps run in one
+fused kernel (``numerics.train_visit``) on buffers private to the visit; the
+parameters it hands back are a fresh ``ParameterVector`` that the Fisher
+estimate, the penalty anchor, evaluation and the trace all share, and that
+nothing writes to afterwards.
+
+The baselines do not depend on the penalty strength, so a lambda sweep
+(``bench``) trains them once per (split, repetition) and shares them across
+its lambda rows.
 """
 
 from __future__ import annotations
@@ -29,13 +37,14 @@ from .numerics import (
     forward,
     init_optimizer_state,
     init_params,
-    optimizer_step,
+    train_visit,
 )
 from .penalty import (
     PenaltyConfig,
     PenaltyState,
     absorb_batch,
-    penalized_loss_and_grad,
+    penalized_loss_and_grad,  # noqa: F401  (a trainer binding perfbench's tracer test reads)
+    penalty_term,
 )
 
 BASELINE_MODES = ("c3", "cv_sequential", "cv_independent")
@@ -184,21 +193,6 @@ def kl_diagnostic_matrix(dataset: Dataset, plan: FragmentationPlan) -> np.ndarra
     return out
 
 
-def _minibatch_slices(n: int, size: int):
-    for start in range(0, n, size):
-        yield slice(start, min(start + size, n))
-
-
-def _train_one_batch(spec, params, opt_state, x, y, state, pcfg, minibatch_size):
-    """All minibatch steps of one batch visit; returns the mean visit loss."""
-    losses = []
-    for sl in _minibatch_slices(x.shape[0], minibatch_size):
-        loss, grad = penalized_loss_and_grad(spec, params, x[sl], y[sl], state, pcfg)
-        params, opt_state = optimizer_step(opt_state, params, grad)
-        losses.append(loss)
-    return params, opt_state, float(np.mean(losses))
-
-
 def shift_correction(
     dataset: Dataset,
     validation: Dataset,
@@ -216,12 +210,21 @@ def shift_correction(
     minimise the penalised loss over the batch, then (in ``c3`` mode) absorb
     the batch's Fisher diagonal into the penalty state anchored at the
     parameters the batch finished with. Validation accuracy is measured after
-    every visit. The ``initial_*`` arguments resume a run from a batch
-    boundary.
-    """
-    if cfg.baseline_mode == "cv_independent":
-        return _independent_baseline(dataset, validation, plan, spec, cfg)
+    every visit, and ``batch_hook(epoch, batch_index, params)`` is called
+    after it. The ``initial_*`` arguments resume a run from a batch
+    boundary; ``cv_independent`` re-initialises before every batch, so it
+    rejects them.
 
+    ``cv_independent`` visits batch-major (every epoch of batch 0, then of
+    batch 1, ...); the other modes visit epoch-major.
+    """
+    independent = cfg.baseline_mode == "cv_independent"
+    resume = (initial_params, initial_penalty_state, initial_optimizer_state)
+    if independent and any(value is not None for value in resume):
+        raise TrainerError(
+            "cv_independent re-initialises the model before every batch; "
+            "it cannot resume from initial_* state"
+        )
     penalize = cfg.baseline_mode == "c3"
     pcfg = cfg.penalty if penalize else replace(cfg.penalty, lam=0.0)
 
@@ -239,63 +242,44 @@ def shift_correction(
         tuple(gaussian_kl(moments[i], moments[j]) for j in range(i)) for i in range(k)
     ]
 
+    epochs = range(1, cfg.epochs + 1)
+    if independent:
+        visits = [(epoch, i) for i in range(k) for epoch in epochs]
+    else:
+        visits = [(epoch, i) for epoch in epochs for i in range(k)]
+
     records = []
-    for epoch in range(1, cfg.epochs + 1):
-        if cfg.reset_state_each_epoch and epoch > 1:
+    for epoch, i in visits:
+        if independent and epoch == 1:
+            params = init_params(spec, cfg.seed)
+            opt_state = init_optimizer_state(cfg.optimizer, params.size)
+        if cfg.reset_state_each_epoch and epoch > 1 and i == 0:
             state = PenaltyState.empty()
-        for i in range(k):
-            x, y = dataset.rows(plan.batch_indices(i))
-            params, opt_state, mean_loss = _train_one_batch(
-                spec, params, opt_state, x, y, state, pcfg, cfg.minibatch_size
+        x, y = dataset.rows(plan.batch_indices(i))
+        params, opt_state, mean_loss = train_visit(
+            spec, params, opt_state, x, y, cfg.minibatch_size,
+            penalty_term(state, pcfg, params, spec),
+        )
+        if penalize:
+            fisher = empirical_fisher_diagonal(spec, params, x, y)
+            state = absorb_batch(state, fisher, params, pcfg)
+        records.append(
+            BatchRecord(
+                epoch=epoch,
+                batch_index=i,
+                validation_accuracy=evaluate(spec, params, validation),
+                mean_loss=mean_loss,
+                kl_to_earlier=kl_back[i],
             )
-            if penalize:
-                fisher = empirical_fisher_diagonal(spec, params, x, y)
-                state = absorb_batch(state, fisher, params, pcfg)
-            records.append(
-                BatchRecord(
-                    epoch=epoch,
-                    batch_index=i,
-                    validation_accuracy=evaluate(spec, params, validation),
-                    mean_loss=mean_loss,
-                    kl_to_earlier=kl_back[i],
-                )
-            )
-            if batch_hook is not None:
-                batch_hook(epoch, i, params)
+        )
+        if batch_hook is not None:
+            batch_hook(epoch, i, params)
     return RunTrace(
         records=tuple(records),
         final_params=params,
         final_penalty_state=state,
         final_optimizer_state=opt_state,
     )
-
-
-def _independent_baseline(dataset, validation, plan, spec, cfg) -> RunTrace:
-    """Train each batch from the same seeded initialisation, penalty off."""
-    pcfg = replace(cfg.penalty, lam=0.0)
-    k = plan.batch_count
-    moments = [batch_moments(dataset, plan, i) for i in range(k)]
-    records = []
-    params = init_params(spec, cfg.seed)
-    for i in range(k):
-        params = init_params(spec, cfg.seed)
-        opt_state = init_optimizer_state(cfg.optimizer, params.size)
-        x, y = dataset.rows(plan.batch_indices(i))
-        kl_back = tuple(gaussian_kl(moments[i], moments[j]) for j in range(i))
-        for epoch in range(1, cfg.epochs + 1):
-            params, opt_state, mean_loss = _train_one_batch(
-                spec, params, opt_state, x, y, PenaltyState.empty(), pcfg, cfg.minibatch_size
-            )
-            records.append(
-                BatchRecord(
-                    epoch=epoch,
-                    batch_index=i,
-                    validation_accuracy=evaluate(spec, params, validation),
-                    mean_loss=mean_loss,
-                    kl_to_earlier=kl_back,
-                )
-            )
-    return RunTrace(records=tuple(records), final_params=params)
 
 
 def cv_baseline(dataset, validation, plan, spec, cfg: TrainConfig) -> RunTrace:

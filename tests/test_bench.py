@@ -1,6 +1,12 @@
+import itertools
+import re
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import fishershift.bench as bench
 from fishershift.bench import (
     BATCHWISE_GRID,
     BenchError,
@@ -255,6 +261,81 @@ class TestLambdaSweep:
         assert [row.lam for row in report.rows] == list(LAMBDA_GRID)
 
 
+class TestSharedBaselines:
+    """A sweep trains each baseline once per (split, repetition)."""
+
+    LAMBDAS = (0.0, 0.05, 0.1)
+
+    def count_trainings(self, monkeypatch):
+        configs = []
+        real = bench.shift_correction
+
+        def counting(*args, **kwargs):
+            configs.append(args[4])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "shift_correction", counting)
+        return configs
+
+    @pytest.mark.parametrize(
+        "proto, units",
+        [
+            (small_protocol(splits=((0.5, 2), (0.25, 4))), 2),
+            (ProtocolSpec(mode="foldwise", folds=3, repetitions=2), 3),
+        ],
+        ids=["batchwise", "foldwise"],
+    )
+    def test_one_training_per_distinct_run(self, monkeypatch, proto, units):
+        configs = self.count_trainings(monkeypatch)
+        cfg = small_config()
+        report, _ = lambda_sweep(
+            RECIPE, self.LAMBDAS, proto, cfg, tabular_spec(4), samples=400
+        )
+        # Per (split or fold rotation, repetition): both baselines, one c3 per lambda.
+        assert len(configs) == proto.repetitions * units * (len(self.LAMBDAS) + 2)
+        monkeypatch.undo()
+
+        for lam in self.LAMBDAS:
+            single = run_protocol(
+                RECIPE, proto, replace(cfg, penalty=PenaltyConfig(lam=lam)), tabular_spec(4),
+                samples=400,
+            )
+            swept = [row for row in report.rows if row.lam == lam]
+            assert len(swept) == len(single.rows)
+            for a, b in zip(swept, single.rows):
+                # Every column, the shared baseline ones included, bit for bit.
+                assert a.to_json_dict() == b.to_json_dict()
+
+    def test_duplicate_lambdas_train_once(self, monkeypatch):
+        configs = self.count_trainings(monkeypatch)
+        lambda_sweep(
+            RECIPE, (0.1, 0.1), small_protocol(repetitions=1), small_config(), tabular_spec(4),
+            samples=400,
+        )
+        assert len(configs) == 1 * 1 * (1 + 2)
+        assert len(set(configs)) == len(configs)
+
+    def test_time_budget_skips_whole_splits(self, monkeypatch):
+        # A clock that advances 10 s per reading: the budget check before the
+        # first split reads 10 s, before the second 20 s.
+        ticks = itertools.count(0.0, 10.0)
+        monkeypatch.setattr(bench, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+        proto = small_protocol(splits=((0.5, 2), (0.25, 4)), time_budget_s=15.0)
+        report, series = lambda_sweep(
+            RECIPE, (0.0, 0.1), proto, small_config(), tabular_spec(4), samples=400
+        )
+        assert [(row.batch_count, row.skipped) for row in report.rows] == [
+            (2, False), (2, False), (4, True), (4, True)
+        ]
+        assert [lam for lam, _ in series] == [0.0, 0.1]
+        assert series[1][1] == report.rows[1].mean["c3"]
+        verify_report(report)
+
+    def test_duplicate_splits_rejected(self):
+        with pytest.raises(BenchError, match="distinct"):
+            ProtocolSpec(splits=((0.5, 2), (0.5, 2)))
+
+
 class TestEmission:
     def test_json_round_trip_is_byte_identical(self, small_report):
         text = emit_report(small_report, "json")
@@ -300,9 +381,65 @@ class TestVerifier:
         with pytest.raises(BenchError, match="mean"):
             verify_report(bad)
 
+    def test_detects_tampered_lambda_series(self):
+        report, series = lambda_sweep(
+            RECIPE, (0.0, 0.1), small_protocol(repetitions=1), small_config(), tabular_spec(4),
+            samples=400,
+        )
+        verify_report(report)
+        payload = report.to_json_dict()
+        payload["lambda_series"][0][1] += 5.0
+        with pytest.raises(BenchError, match="lambda series"):
+            verify_report(ExperimentReport.from_json_dict(payload))
+        for bad in (series[:1], series[::-1], series + series[:1]):
+            with pytest.raises(BenchError, match="lambda series"):
+                verify_report(replace(report, lambda_series=bad))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: r["mean"].update(c3=float("nan")), "stored mean for c3"),
+            (lambda r: r["batch_acc"].pop("cv_sequential"), "batch_acc must hold exactly"),
+            (lambda r: r["batch_acc"]["c3"].append(50.0), "c3 holds 3 batch accuracies"),
+            (lambda r: r.update(delta1=None), "stored delta1"),
+        ],
+        ids=["nan_mean", "missing_mode", "extra_batch", "null_delta"],
+    )
+    def test_detects_inconsistent_row(self, small_report, edit, message):
+        payload = small_report.rows[0].to_json_dict()
+        edit(payload)
+        tampered = ReportRow.from_json_dict(payload)
+        with pytest.raises(BenchError, match=message):
+            verify_report(ExperimentReport(base_seed=0, rows=(tampered,)))
+
     def test_detects_tampered_delta(self, small_report):
         row = small_report.rows[0]
         tampered = ReportRow.from_json_dict({**row.to_json_dict(), "delta3": 123.0})
         bad = ExperimentReport(base_seed=0, rows=(tampered,))
         with pytest.raises(BenchError, match="delta3"):
             verify_report(bad)
+
+
+class TestReportParsing:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p.pop("rows"), "report: missing key 'rows'"),
+            (lambda p: p.update(rows="x"), "report: 'rows' must be a list"),
+            (lambda p: p["rows"][0].pop("mean"), "report row 0: missing key 'mean'"),
+            (lambda p: p["rows"][0].update(batch_count="2"), "'batch_count' must be an integer"),
+            (lambda p: p["rows"][0]["batch_acc"].update(c3=[1, "x"]), "'batch_acc' must be"),
+            (lambda p: p["rows"][0].update(skipped=0), "'skipped' must be a boolean"),
+            (lambda p: p.update(lambda_series=[[0.1]]), "'lambda_series' must be"),
+            (lambda p: p["rows"].append([]), "report row 1 must be a JSON object"),
+        ],
+    )
+    def test_malformed_payload_raises_bench_error(self, small_report, edit, message):
+        payload = small_report.to_json_dict()
+        edit(payload)
+        with pytest.raises(BenchError, match=re.escape(message)):
+            ExperimentReport.from_json_dict(payload)
+
+    def test_non_object_report_rejected(self):
+        with pytest.raises(BenchError, match="JSON object"):
+            ExperimentReport.from_json_dict([])

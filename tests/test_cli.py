@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fishershift
 from fishershift.cli import main
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(fishershift.__file__)))
 
 
 @pytest.fixture()
@@ -74,6 +80,29 @@ class TestTrain:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_nan_feature_exits_1_with_one_line(self, tmp_path, capsys):
+        # The dataset rejects a NaN feature before any training step.
+        csv_path = tmp_path / "nan.csv"
+        rows = ["f0,f1,label"] + [f"{i * 0.1},{1.0 - i * 0.1},{i % 2}" for i in range(40)]
+        rows[7] = "nan,0.5,1"
+        csv_path.write_text("\n".join(rows) + "\n")
+        code = run_cli("train", "--csv", str(csv_path), "--batches", "2",
+                       "--out", str(tmp_path / "x.json"))
+        assert code == 1
+        assert capsys.readouterr().err == "error: feature values must be finite\n"
+
+    def test_diverging_run_exits_1_with_one_line(self, recipe_path, tmp_path):
+        # A subprocess, so numpy's floating-point warnings would reach stderr.
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run(
+            [sys.executable, "-m", "fishershift.cli", "train", "--synth", recipe_path,
+             "--optimizer", "sgd", "--learning-rate", "1e300", "--epochs", "2",
+             "--samples-per-batch", "60", "--out", str(tmp_path / "x.json")],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == ["error: non-finite cross-entropy loss"]
+
 
 class TestSweep:
     def test_default_grid_produces_four_rows(self, recipe_path, tmp_path):
@@ -137,6 +166,41 @@ class TestReport:
         assert run_cli("report", "--in", str(src), "--format", "json",
                        "--out", str(out)) == 0
         assert out.read_bytes() == src.read_bytes()
+
+    def tampered(self, recipe_path, tmp_path, edit):
+        src = self.make_report(recipe_path, tmp_path)
+        payload = json.loads(src.read_text())
+        edit(payload)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        return str(bad)
+
+    def test_tampered_series_exits_1(self, recipe_path, tmp_path, capsys):
+        def edit(payload):
+            payload["lambda_series"][0][1] += 5.0
+
+        bad = self.tampered(recipe_path, tmp_path, edit)
+        capsys.readouterr()
+        assert run_cli("report", "--in", bad) == 1
+        err = capsys.readouterr().err
+        assert err == "error: stored lambda series is inconsistent with the rows\n"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p.pop("rows"), "report: missing key 'rows'"),
+            (lambda p: p.update(rows={"0": {}}), "report: 'rows' must be a list"),
+            (lambda p: p["rows"][0].pop("mean"), "report row 0: missing key 'mean'"),
+        ],
+        ids=["rows_missing", "rows_not_list", "row_without_mean"],
+    )
+    def test_malformed_report_exits_1_with_one_line(
+        self, recipe_path, tmp_path, capsys, edit, message
+    ):
+        bad = self.tampered(recipe_path, tmp_path, edit)
+        capsys.readouterr()
+        assert run_cli("report", "--in", bad) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_path_exits_1(self, tmp_path, capsys):
         assert run_cli("report", "--in", str(tmp_path / "nope.json")) == 1

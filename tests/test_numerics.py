@@ -187,6 +187,29 @@ class TestOptimizers:
             new_params, _ = optimizer_step(state, params, zero_grad)
             assert np.array_equal(new_params.values, params.values)
 
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_in_place_update_matches_out_of_place_formula_bitwise(self, kind):
+        cfg = OptimizerConfig(kind=kind, learning_rate=0.05)
+        spec = MlpSpec(input_dim=3, hidden_layers=((4, "relu"),), output_classes=2)
+        rng = np.random.default_rng(9)
+        params = init_params(spec, 1)
+        state = init_optimizer_state(cfg, params.size)
+        values, m, v = params.values, np.zeros(params.size), np.zeros(params.size)
+        for t in range(1, 6):
+            g = rng.normal(size=params.size)
+            params, state = optimizer_step(state, params, params.with_values(g))
+            if kind == "sgd":
+                values = values - cfg.learning_rate * g
+            else:
+                m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+                v = cfg.beta2 * v + (1.0 - cfg.beta2) * g**2
+                m_hat = m / (1.0 - cfg.beta1**t)
+                v_hat = v / (1.0 - cfg.beta2**t)
+                values = values - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+                assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+            assert np.array_equal(params.values, values)
+            assert state.step_count == t
+
     def test_non_finite_gradient_rejected(self):
         spec = MlpSpec(input_dim=1, hidden_layers=(), output_classes=2, bias=False)
         params = zero_params(spec)

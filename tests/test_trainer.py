@@ -12,6 +12,7 @@ from fishershift.data import (
 )
 from fishershift.numerics import (
     MlpSpec,
+    NumericsError,
     OptimizerConfig,
     init_optimizer_state,
     init_params,
@@ -244,10 +245,57 @@ class TestIndependentBaseline:
         ).per_batch_accuracies()
         assert sorted(swapped) == sorted(original)
 
+    def test_batch_hook_called_after_every_visit(self):
+        train, val, plan = drift_setup(k=3, n_per_batch=60)
+        cfg = quick_config(epochs=2, baseline_mode="cv_independent")
+        seen = []
+        trace = shift_correction(
+            train, val, plan, SPEC, cfg,
+            batch_hook=lambda epoch, i, params: seen.append((epoch, i, params)),
+        )
+        # Batch-major: every epoch of batch 0, then of batch 1, ...
+        assert [(e, i) for e, i, _ in seen] == [(1, 0), (2, 0), (1, 1), (2, 1), (1, 2), (2, 2)]
+        assert [(r.epoch, r.batch_index) for r in trace.records] == [(e, i) for e, i, _ in seen]
+        for record, (_, _, params) in zip(trace.records, seen):
+            assert evaluate(SPEC, params, val) == record.validation_accuracy
+        assert seen[-1][2] is trace.final_params
+
+    @pytest.mark.parametrize(
+        "initial", ["initial_params", "initial_penalty_state", "initial_optimizer_state"]
+    )
+    def test_rejects_initial_state(self, initial):
+        train, val, plan = drift_setup(k=2, n_per_batch=60)
+        head = shift_correction(train, val, plan, SPEC, quick_config(epochs=1))
+        values = {
+            "initial_params": head.final_params,
+            "initial_penalty_state": head.final_penalty_state,
+            "initial_optimizer_state": head.final_optimizer_state,
+        }
+        cfg = quick_config(baseline_mode="cv_independent")
+        with pytest.raises(TrainerError, match="initial_"):
+            shift_correction(train, val, plan, SPEC, cfg, **{initial: values[initial]})
+
     def test_cv_baseline_rejects_c3_mode(self):
         train, val, plan = drift_setup(k=2, n_per_batch=60)
         with pytest.raises(TrainerError, match="cv_sequential or cv_independent"):
             cv_baseline(train, val, plan, SPEC, quick_config(baseline_mode="c3"))
+
+
+class TestNonFiniteTraining:
+    def test_nan_feature_raises_numerics_error(self):
+        # Training batches are summarised (moments) before any step, so a NaN
+        # there is an InformationError; a NaN in validation rows reaches the
+        # model. The kernel's own NaN check is in test_visit_kernel.
+        train, val, plan = drift_setup(k=2, n_per_batch=60)
+        val.features[3, 0] = np.nan  # after the dataset's own check
+        with np.errstate(invalid="ignore"), pytest.raises(NumericsError, match="non-finite"):
+            shift_correction(train, val, plan, SPEC, quick_config())
+
+    def test_diverging_learning_rate_raises_numerics_error(self):
+        train, val, plan = drift_setup(k=2, n_per_batch=60)
+        cfg = quick_config(optimizer=OptimizerConfig(kind="sgd", learning_rate=1e300))
+        with np.errstate(all="ignore"), pytest.raises(NumericsError, match="non-finite"):
+            shift_correction(train, val, plan, SPEC, cfg)
 
 
 class TestTraceSerialization:
