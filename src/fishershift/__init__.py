@@ -28,7 +28,6 @@ from .bench import (
     emit_report,
     emit_series_csv,
     lambda_sweep,
-    recalibrated,
     run_protocol,
     tabular_spec,
     verify_report,
@@ -72,7 +71,6 @@ from .numerics import (
     OptimizerConfig,
     OptimizerState,
     ParameterVector,
-    backward,
     cross_entropy_loss,
     forward,
     init_optimizer_state,
@@ -98,7 +96,6 @@ from .trainer import (
     RunTrace,
     TrainConfig,
     TrainerError,
-    cv_baseline,
     evaluate,
     kl_diagnostic_matrix,
     shift_correction,

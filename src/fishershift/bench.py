@@ -24,7 +24,7 @@ import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -33,12 +33,20 @@ from .data import (
     FragmentationPlan,
     ShiftRecipe,
     fragment,
+    shuffle_rows,
     synth_shift,
     train_validation_split,
 )
-from .numerics import MlpSpec, OptimizerConfig
+from .numerics import (
+    MlpSpec,
+    OptimizerConfig,
+    check_version,
+    fields_from_json,
+    json_field,
+    json_object,
+)
 from .penalty import PenaltyConfig
-from .trainer import TrainConfig, shift_correction
+from .trainer import RUN_MODES, TrainConfig, shift_correction
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -46,7 +54,6 @@ BATCHWISE_GRID = ((0.05, 20), (0.10, 10), (0.15, 6), (0.20, 5), (0.25, 4), (0.50
 
 LAMBDA_GRID = (0.01, 0.04, 0.07, 0.1)
 
-RUN_MODES = ("c3", "cv_sequential", "cv_independent")
 _BASELINES = RUN_MODES[1:]
 
 
@@ -89,85 +96,10 @@ class ProtocolSpec:
                 )
 
 
-def recalibrated(cfg: PenaltyConfig) -> PenaltyConfig:
-    """Loss-recalibration variant: scales the penalty term by 1/(1+lam).
-
-    Implemented as an effective strength lam/(1+lam), which keeps loss and
-    gradient consistent while shrinking the penalty share of the total
-    gradient.
-    """
-    return replace(cfg, lam=cfg.lam / (1.0 + cfg.lam))
-
-
 def derive_seed(base_seed: int, cell_key: str, rep: int) -> int:
     """Stable 63-bit seed from the base seed, cell description, and repetition."""
     digest = hashlib.sha256(f"{base_seed}|{cell_key}|{rep}".encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_mode_map(value, check) -> bool:
-    return isinstance(value, dict) and all(
-        isinstance(k, str) and check(v) for k, v in value.items()
-    )
-
-
-def _is_number_list(value) -> bool:
-    return isinstance(value, list) and all(map(_is_number, value))
-
-
-# Payload value kinds: (predicate, what the error message says is expected).
-_KINDS = {
-    "string": (lambda v: isinstance(v, str), "a string"),
-    "boolean": (lambda v: isinstance(v, bool), "a boolean"),
-    "integer": (_is_int, "an integer"),
-    "number": (_is_number, "a number"),
-    "number or null": (lambda v: v is None or _is_number(v), "a number or null"),
-    "list": (lambda v: isinstance(v, list), "a list"),
-    "integers": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
-    "mode numbers": (lambda v: _is_mode_map(v, _is_number), "an object of numbers"),
-    "mode number lists": (
-        lambda v: _is_mode_map(v, _is_number_list), "an object of number lists"
-    ),
-    "series": (
-        lambda v: isinstance(v, list)
-        and all(isinstance(p, list) and len(p) == 2 and _is_number_list(p) for p in v),
-        "a list of [lambda, accuracy] pairs",
-    ),
-}
-
-_ROW_FIELDS = {
-    "label": "string",
-    "fraction": "number or null",
-    "batch_count": "integer",
-    "lambda": "number",
-    "seeds": "integers",
-    "config_hash": "string",
-    "batch_acc": "mode number lists",
-    "final_acc": "mode numbers",
-    "mean": "mode numbers",
-    "variance": "mode numbers",
-    "delta1": "number or null",
-    "delta2": "number or null",
-    "delta3": "number or null",
-    "skipped": "boolean",
-}
-
-
-def _field(payload: dict, key: str, kind: str, where: str):
-    if key not in payload:
-        raise BenchError(f"{where}: missing key {key!r}")
-    check, expected = _KINDS[kind]
-    if not check(payload[key]):
-        raise BenchError(f"{where}: {key!r} must be {expected}")
-    return payload[key]
 
 
 @dataclass(frozen=True)
@@ -180,55 +112,29 @@ class ReportRow:
     lam: float
     seeds: tuple[int, ...]
     config_hash: str
-    batch_acc: dict
-    final_acc: dict
-    mean: dict
-    variance: dict
+    batch_acc: dict[str, tuple[float, ...]]
+    final_acc: dict[str, float]
+    mean: dict[str, float]
+    variance: dict[str, float]
     delta1: float | None
     delta2: float | None
     delta3: float | None
     skipped: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "fraction": self.fraction,
-            "batch_count": self.batch_count,
-            "lambda": self.lam,
-            "seeds": list(self.seeds),
-            "config_hash": self.config_hash,
-            "batch_acc": {m: list(v) for m, v in self.batch_acc.items()},
-            "final_acc": dict(self.final_acc),
-            "mean": dict(self.mean),
-            "variance": dict(self.variance),
-            "delta1": self.delta1,
-            "delta2": self.delta2,
-            "delta3": self.delta3,
-            "skipped": self.skipped,
-        }
+        payload = asdict(self)
+        payload["lambda"] = payload.pop("lam")
+        payload["seeds"] = list(self.seeds)
+        payload["batch_acc"] = {m: list(v) for m, v in self.batch_acc.items()}
+        return payload
 
     @classmethod
     def from_json_dict(cls, payload: dict, where: str = "report row") -> "ReportRow":
         """Parse one row; a missing key or a wrongly typed value is a BenchError."""
-        if not isinstance(payload, dict):
-            raise BenchError(f"{where} must be a JSON object")
-        fields = {key: _field(payload, key, kind, where) for key, kind in _ROW_FIELDS.items()}
-        return cls(
-            label=fields["label"],
-            fraction=fields["fraction"],
-            batch_count=fields["batch_count"],
-            lam=fields["lambda"],
-            seeds=tuple(fields["seeds"]),
-            config_hash=fields["config_hash"],
-            batch_acc={m: tuple(v) for m, v in fields["batch_acc"].items()},
-            final_acc=dict(fields["final_acc"]),
-            mean=dict(fields["mean"]),
-            variance=dict(fields["variance"]),
-            delta1=fields["delta1"],
-            delta2=fields["delta2"],
-            delta3=fields["delta3"],
-            skipped=fields["skipped"],
-        )
+        fields = fields_from_json(cls, payload, where, BenchError, keys={"lam": "lambda"})
+        fields["seeds"] = tuple(fields["seeds"])
+        fields["batch_acc"] = {m: tuple(v) for m, v in fields["batch_acc"].items()}
+        return cls(**fields)
 
 
 @dataclass(frozen=True)
@@ -255,13 +161,14 @@ class ExperimentReport:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ExperimentReport":
         """Parse a report; a missing key or a wrongly typed value is a BenchError."""
-        if not isinstance(payload, dict):
-            raise BenchError("report must be a JSON object")
-        if payload.get("schema_version") != REPORT_SCHEMA_VERSION:
-            raise BenchError(f"unsupported report schema {payload.get('schema_version')!r}")
-        base_seed = _field(payload, "base_seed", "integer", "report")
-        rows = _field(payload, "rows", "list", "report")
-        series = _field(payload, "lambda_series", "series", "report")
+        json_object(payload, "report", BenchError)
+        check_version(payload, "schema_version", REPORT_SCHEMA_VERSION, "report schema",
+                      BenchError)
+        base_seed = json_field(payload, "base_seed", int, "report", BenchError)
+        rows = json_field(payload, "rows", list, "report", BenchError)
+        series = json_field(
+            payload, "lambda_series", tuple[tuple[float, float], ...], "report", BenchError
+        )
         return cls(
             base_seed=base_seed,
             rows=tuple(
@@ -312,22 +219,12 @@ def _config_hash(cell_key: str, train_cfg: TrainConfig, spec: MlpSpec) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def _plan_from_sizes(sizes) -> FragmentationPlan:
-    boundaries = []
-    start = 0
-    for size in sizes:
-        boundaries.append((start, start + size))
-        start += size
-    return FragmentationPlan(len(sizes), np.arange(start), tuple(boundaries))
-
-
-def _materialise(source, k: int, samples: int, seed: int):
+def _materialise(source, k: int, samples: int, seed: int) -> Dataset:
     if isinstance(source, ShiftRecipe):
         recipe = replace(source, batch_count=k)
-        dataset, _ = synth_shift(recipe, max(2, samples // k), seed=seed)
-        return dataset, False  # drift data: never shuffle away the order
+        return synth_shift(recipe, max(2, samples // k), seed=seed)[0]
     if isinstance(source, Dataset):
-        return source, True  # clean data: shuffle before splitting
+        return source
     raise BenchError(f"unsupported data source {type(source).__name__}")
 
 
@@ -367,8 +264,8 @@ def _run_split_rep(args) -> list[dict]:
     """
     (source, proto, train_cfg, spec, k, lambdas, seed, samples) = args
     stages = k if proto.mode == "batchwise" else proto.folds
-    dataset, shuffle_default = _materialise(source, stages, samples, seed)
-    shuffle = proto.shuffle if proto.shuffle is not None else shuffle_default
+    dataset = _materialise(source, stages, samples, seed)
+    shuffle = shuffle_rows(source, proto.shuffle)
 
     if proto.mode == "batchwise":
         train, val, train_idx, val_idx = train_validation_split(
@@ -385,7 +282,7 @@ def _run_split_rep(args) -> list[dict]:
         val = dataset.subset(folds.batch_indices(rot))
         train_rows = [folds.batch_indices(i) for i in range(proto.folds) if i != rot]
         train = dataset.subset(np.concatenate(train_rows))
-        plan = _plan_from_sizes([rows.size for rows in train_rows])
+        plan = FragmentationPlan.from_sizes([rows.size for rows in train_rows])
         rotations.append(_train_split(train, val, plan, spec, train_cfg, seed, lambdas))
     outcomes = []
     for j in range(len(lambdas)):
@@ -403,12 +300,8 @@ def _run_split_rep(args) -> list[dict]:
 
 
 def _mode_config(train_cfg: TrainConfig, mode: str, lam: float, seed: int) -> TrainConfig:
-    lam_eff = lam if mode == "c3" else 0.0
     return replace(
-        train_cfg,
-        seed=seed,
-        baseline_mode=mode,
-        penalty=replace(train_cfg.penalty, lam=lam_eff),
+        train_cfg, seed=seed, baseline_mode=mode, penalty=replace(train_cfg.penalty, lam=lam)
     )
 
 
@@ -640,13 +533,6 @@ def format_delta(value: float | None) -> str:
     return f"{arrow} {abs(rounded):.1f}"
 
 
-MODE_TITLES = {
-    "c3": "c3",
-    "cv_sequential": "cv_sequential",
-    "cv_independent": "cv_independent",
-}
-
-
 def emit_report(report: ExperimentReport, fmt: str) -> str:
     """Render the report as canonical JSON, flat CSV, or tabular markdown."""
     if fmt == "json":
@@ -697,7 +583,7 @@ def _emit_markdown(report: ExperimentReport) -> str:
         lines.append("| " + " | ".join(header) + " |")
         lines.append("|" + " --- |" * len(header))
         for mode in RUN_MODES:
-            cells = [MODE_TITLES[mode]]
+            cells = [mode]
             cells += [f"{a:.1f}" for a in row.batch_acc[mode]]
             cells += [f"{row.mean[mode]:.2f}", f"{row.variance[mode]:.2f}"]
             if mode == "c3":

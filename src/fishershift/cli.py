@@ -12,12 +12,12 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from dataclasses import replace
 
 import numpy as np
 
 from .bench import (
+    LAMBDA_GRID,
     BenchError,
     ProtocolSpec,
     emit_report,
@@ -33,14 +33,22 @@ from .data import (
     fragment,
     load_csv,
     load_idx,
+    shuffle_rows,
     synth_shift,
     train_validation_split,
     write_csv,
 )
 from .information import InformationError
-from .numerics import MlpSpec, NumericsError, OptimizerConfig
-from .penalty import PenaltyConfig, PenaltyError
-from .trainer import TrainConfig, TrainerError, shift_correction
+from .numerics import (
+    ACTIVATIONS,
+    OPTIMIZER_KINDS,
+    MlpSpec,
+    NumericsError,
+    OptimizerConfig,
+    write_atomic,
+)
+from .penalty import ACCUMULATION_MODES, PenaltyConfig, PenaltyError
+from .trainer import RUN_MODES, TrainConfig, TrainerError, shift_correction
 
 USER_ERRORS = (
     DataError,
@@ -54,17 +62,8 @@ USER_ERRORS = (
 )
 
 
-def write_atomic(path: str, content: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+# --shuffle: "auto" leaves the choice to data.shuffle_rows.
+SHUFFLE_CHOICES = {"auto": None, "on": True, "off": False}
 
 
 def add_source_flags(parser: argparse.ArgumentParser) -> None:
@@ -104,13 +103,6 @@ def resolve_source(args, parser: argparse.ArgumentParser):
     return load_idx(args.idx_images, args.idx_labels)
 
 
-def shuffle_choice(raw: str, is_recipe: bool) -> bool:
-    if raw == "auto":
-        # Drift recipes carry their order; clean datasets get shuffled.
-        return not is_recipe
-    return raw == "on"
-
-
 def model_spec(args, input_dim: int, classes: int) -> MlpSpec:
     hidden = tuple((w, args.activation) for w in args.hidden) if args.hidden else ()
     return MlpSpec(input_dim=input_dim, hidden_layers=hidden, output_classes=classes)
@@ -121,9 +113,7 @@ def train_config(args, baseline: str) -> TrainConfig:
         epochs=args.epochs,
         minibatch_size=args.minibatch,
         optimizer=OptimizerConfig(kind=args.optimizer, learning_rate=args.learning_rate),
-        penalty=PenaltyConfig(
-            lam=getattr(args, "lambda"), mode=args.penalty_mode, accumulation=args.accumulation
-        ),
+        penalty=PenaltyConfig(lam=getattr(args, "lambda"), accumulation=args.accumulation),
         seed=args.seed,
         baseline_mode=baseline,
     )
@@ -132,23 +122,22 @@ def train_config(args, baseline: str) -> TrainConfig:
 def add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lambda", type=float, default=0.1,
                         help="penalty strength; 0 disables the mechanism")
-    parser.add_argument("--penalty-mode", choices=("quadratic", "trace"), default="quadratic",
-                        help="penalty form")
-    parser.add_argument("--accumulation", choices=("sum", "mean"), default="sum",
+    parser.add_argument("--accumulation", choices=ACCUMULATION_MODES, default="sum",
                         help="how consumed batches combine their Fisher mass")
     parser.add_argument("--epochs", type=int, default=10, help="passes over the batch sequence")
     parser.add_argument("--minibatch", type=int, default=32, help="minibatch size within a batch")
-    parser.add_argument("--optimizer", choices=("adam", "sgd"), default="adam",
+    parser.add_argument("--optimizer", choices=OPTIMIZER_KINDS, default="adam",
                         help="update rule")
     parser.add_argument("--learning-rate", type=float, default=1e-3, help="optimizer step size")
     parser.add_argument("--hidden", type=int, nargs="*", default=[4],
                         help="hidden layer widths; empty for a linear model")
-    parser.add_argument("--activation", choices=("relu", "identity"), default="relu",
+    parser.add_argument("--activation", choices=ACTIVATIONS, default="relu",
                         help="hidden activation")
     parser.add_argument("--val-fraction", type=float, default=0.2,
                         help="holdout fraction carved off before fragmentation")
-    parser.add_argument("--shuffle", choices=("auto", "on", "off"), default="auto",
-                        help="shuffle rows before splitting into batches")
+    parser.add_argument("--shuffle", choices=list(SHUFFLE_CHOICES), default="auto",
+                        help="shuffle rows before splitting into batches; "
+                             "auto shuffles datasets but not drift recipes")
     parser.add_argument("--seed", type=int, default=0, help="single source of randomness")
 
 
@@ -161,30 +150,26 @@ def validate_common(args, parser) -> None:
         parser.error("--lambda must be >= 0")
     if not 0 < args.val_fraction < 1:
         parser.error("--val-fraction must lie in (0, 1)")
+    if args.batches is not None and args.batches < 1:
+        parser.error("--batches must be >= 1")
 
 
 def cmd_train(args, parser) -> int:
     validate_common(args, parser)
-    if args.batches is not None and args.batches < 1:
-        parser.error("--batches must be >= 1")
     source = resolve_source(args, parser)
 
     if isinstance(source, ShiftRecipe):
-        recipe = source
-        k = args.batches if args.batches is not None else recipe.batch_count
-        if k != recipe.batch_count:
-            recipe = replace(recipe, batch_count=k)
+        k = args.batches if args.batches is not None else source.batch_count
+        recipe = replace(source, batch_count=k)
         dataset, _ = synth_shift(recipe, args.samples_per_batch, seed=args.seed)
-        is_recipe = True
     else:
         dataset = source
         k = args.batches if args.batches is not None else 5
-        is_recipe = False
 
     train, validation, train_idx, val_idx = train_validation_split(
         dataset, args.val_fraction, seed=args.seed
     )
-    shuffle = shuffle_choice(args.shuffle, is_recipe)
+    shuffle = shuffle_rows(source, SHUFFLE_CHOICES[args.shuffle])
     plan = fragment(train, k, seed=args.seed, shuffle=shuffle)
     spec = model_spec(args, dataset.dim, dataset.class_count)
     cfg = train_config(args, args.baseline)
@@ -210,27 +195,19 @@ def cmd_sweep(args, parser) -> int:
             parser.error("--values entries must be >= 0")
     else:
         values = None
-    if args.batches < 1:
-        parser.error("--batches must be >= 1")
     if args.repetitions < 1:
         parser.error("--repetitions must be >= 1")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
 
     source = resolve_source(args, parser)
+    common = dict(repetitions=args.repetitions, validation_fraction=args.val_fraction,
+                  shuffle=SHUFFLE_CHOICES[args.shuffle])
     if args.protocol == "foldwise":
-        proto = ProtocolSpec(
-            mode="foldwise", folds=args.folds, repetitions=args.repetitions,
-            validation_fraction=args.val_fraction,
-            shuffle=None if args.shuffle == "auto" else args.shuffle == "on",
-        )
+        proto = ProtocolSpec(mode="foldwise", folds=args.folds, **common)
     else:
         fraction = round(1.0 / args.batches, 4)
-        proto = ProtocolSpec(
-            mode="batchwise", splits=((fraction, args.batches),),
-            repetitions=args.repetitions, validation_fraction=args.val_fraction,
-            shuffle=None if args.shuffle == "auto" else args.shuffle == "on",
-        )
+        proto = ProtocolSpec(mode="batchwise", splits=((fraction, args.batches),), **common)
     if isinstance(source, Dataset):
         input_dim, classes = source.dim, source.class_count
     else:
@@ -294,16 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--batches", type=int, default=None,
                          help="number of ordered batches "
                               "(default: the recipe's batch count, or 5 for file sources)")
-    p_train.add_argument("--baseline", choices=("c3", "cv_sequential", "cv_independent"),
-                         default="c3", help="training mode")
+    p_train.add_argument("--baseline", choices=RUN_MODES, default="c3", help="training mode")
     p_train.add_argument("--out", required=True, help="run trace JSON path")
 
     p_sweep = sub.add_parser("sweep", formatter_class=fmt,
                              help="benchmark a grid of penalty strengths")
     add_source_flags(p_sweep)
     add_train_flags(p_sweep)
-    p_sweep.add_argument("--values", default="0.01,0.04,0.07,0.1",
-                         help="comma-separated lambda grid")
+    p_sweep.add_argument("--values", default=None,
+                         help="comma-separated lambda grid; omitted, the stock grid "
+                              + ",".join(f"{v:g}" for v in LAMBDA_GRID))
     p_sweep.add_argument("--protocol", choices=("batchwise", "foldwise"), default="batchwise",
                          help="split scheme")
     p_sweep.add_argument("--batches", type=int, default=5, help="batch count (batchwise)")

@@ -11,13 +11,16 @@ generative class.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .information import GaussianMoments
+from .numerics import fields_from_json, write_atomic
 
 SHIFT_KINDS = ("mean_drift", "feature_permutation", "gaussian_corruption")
 
@@ -25,6 +28,7 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 VARIANCE_FLOOR = 1e-9
+
 
 
 class DataError(ValueError):
@@ -95,6 +99,13 @@ class FragmentationPlan:
             raise DataError("boundary count must equal batch_count")
         object.__setattr__(self, "order", order)
 
+    @classmethod
+    def from_sizes(cls, sizes, order=None) -> "FragmentationPlan":
+        """Consecutive batches of ``sizes`` rows over ``order`` (default: the identity)."""
+        stops = list(itertools.accumulate(sizes))
+        order = np.arange(stops[-1]) if order is None else order
+        return cls(len(stops), order, tuple(zip([0] + stops[:-1], stops)))
+
     def batch_indices(self, i: int) -> np.ndarray:
         start, stop = self.boundaries[i]
         return self.order[start:stop]
@@ -120,13 +131,7 @@ def fragment(dataset: Dataset, k: int, seed: int = 0, shuffle: bool = False) -> 
     if shuffle:
         np.random.default_rng(seed).shuffle(order)
     base, extra = divmod(n, k)
-    boundaries = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        boundaries.append((start, start + size))
-        start += size
-    return FragmentationPlan(k, order, tuple(boundaries))
+    return FragmentationPlan.from_sizes([base + (i < extra) for i in range(k)], order)
 
 
 @dataclass(frozen=True)
@@ -170,6 +175,8 @@ class ShiftRecipe:
             raise DataError("features must be >= 1")
         if self.classes < 2:
             raise DataError("classes must be >= 2")
+        if not np.all(np.isfinite([self.separation, self.delta, self.noise_ramp, self.alignment])):
+            raise DataError("recipe numbers must be finite")
         if self.delta < 0.0:
             raise DataError(f"delta must be >= 0, got {self.delta}")
         if self.noise_ramp < 0.0:
@@ -180,24 +187,13 @@ class ShiftRecipe:
             raise DataError("alignment must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "batch_count": self.batch_count,
-            "features": self.features,
-            "classes": self.classes,
-            "separation": self.separation,
-            "delta": self.delta,
-            "noise_ramp": self.noise_ramp,
-            "alignment": self.alignment,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ShiftRecipe":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(payload) - known
-        if unknown:
-            raise DataError(f"unknown recipe fields: {sorted(unknown)}")
-        return cls(**payload)
+        """Parse a recipe; a payload that is not an object, an unknown or
+        missing field and a wrongly typed value are each a DataError."""
+        return cls(**fields_from_json(cls, payload, "recipe", DataError))
 
     @classmethod
     def from_json_file(cls, path) -> "ShiftRecipe":
@@ -233,16 +229,24 @@ def class_means(recipe: ShiftRecipe) -> np.ndarray:
     return offsets[:, None] * axis[None, :]
 
 
+def shuffle_rows(source, choice: bool | None) -> bool:
+    """Whether to shuffle a data source's rows before fragmenting them.
+
+    ``choice`` decides when given. Otherwise a drift recipe keeps its row
+    order, which carries the drift, and a dataset is shuffled.
+    """
+    return not isinstance(source, ShiftRecipe) if choice is None else choice
+
+
 def _canonical_labels(labels: np.ndarray) -> tuple[np.ndarray, int]:
-    """Relabel classes by first appearance so CSV round-trips stay exact."""
-    mapping: dict[int, int] = {}
-    out = np.empty_like(labels)
-    for i, raw in enumerate(labels):
-        key = int(raw)
-        if key not in mapping:
-            mapping[key] = len(mapping)
-        out[i] = mapping[key]
-    return out, len(mapping)
+    """Dense class indices in first-appearance order, and the class count.
+
+    Loading a written CSV then reproduces the labels exactly.
+    """
+    values, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(values.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(values.size)
+    return rank[inverse], values.size
 
 
 def synth_shift(recipe: ShiftRecipe, n_per_batch: int, seed: int) -> tuple[Dataset, FragmentationPlan]:
@@ -288,12 +292,7 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         rows = [row for row in reader if row]
-    if has_header:
-        if not rows:
-            raise DataError("no data rows")
-        header, rows = rows[0], rows[1:]
-    else:
-        header = None
+    header = rows.pop(0) if has_header and rows else None
     if not rows:
         raise DataError("no data rows")
 
@@ -327,25 +326,22 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
                 ) from None
             col += 1
 
-    mapping: dict[str, int] = {}
-    labels = np.empty(len(rows), dtype=np.int64)
-    for i, raw in enumerate(raw_labels):
-        if raw not in mapping:
-            mapping[raw] = len(mapping)
-        labels[i] = mapping[raw]
-    return Dataset(features, labels, len(mapping), provenance=f"csv:{path}")
+    labels, class_count = _canonical_labels(np.array(raw_labels))
+    return Dataset(features, labels, class_count, provenance=f"csv:{path}")
 
 
 def write_csv(dataset: Dataset, path, header: bool = True) -> None:
-    """Write features plus a trailing label column; floats keep full precision."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        if header:
-            writer.writerow([f"feature_{j}" for j in range(dataset.dim)] + ["label"])
-        for i in range(dataset.n):
-            row = [repr(v) for v in dataset.features[i].tolist()]
-            row.append(str(int(dataset.labels[i])))
-            writer.writerow(row)
+    """Write features plus a trailing label column, atomically; floats keep
+    full precision."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    if header:
+        writer.writerow([f"feature_{j}" for j in range(dataset.dim)] + ["label"])
+    for i in range(dataset.n):
+        row = [repr(v) for v in dataset.features[i].tolist()]
+        row.append(str(int(dataset.labels[i])))
+        writer.writerow(row)
+    write_atomic(path, buffer.getvalue())
 
 
 def _read_be32(fh, path) -> int:
@@ -355,20 +351,22 @@ def _read_be32(fh, path) -> int:
     return struct.unpack(">I", chunk)[0]
 
 
+def _read_idx(path, magic: int, dims: int) -> tuple[list[int], bytes]:
+    """The ``dims`` header counts after an IDX file's magic number, and the payload."""
+    with open(path, "rb") as fh:
+        found = _read_be32(fh, path)
+        if found != magic:
+            raise DataError(f"unsupported magic 0x{found:08x} in {path}")
+        return [_read_be32(fh, path) for _ in range(dims)], fh.read()
+
+
 def load_idx(images_path, labels_path) -> Dataset:
     """Read the big-endian binary image/label pair format used by MNIST-style sets.
 
     Pixels scale to [0, 1] by /255 and flatten row-major to rows * cols
     features per image.
     """
-    with open(images_path, "rb") as fh:
-        magic = _read_be32(fh, images_path)
-        if magic != IDX_IMAGE_MAGIC:
-            raise DataError(f"unsupported magic 0x{magic:08x} in {images_path}")
-        count = _read_be32(fh, images_path)
-        rows = _read_be32(fh, images_path)
-        cols = _read_be32(fh, images_path)
-        payload = fh.read()
+    (count, rows, cols), payload = _read_idx(images_path, IDX_IMAGE_MAGIC, 3)
     expected = count * rows * cols
     if len(payload) < expected:
         raise DataError(
@@ -377,12 +375,7 @@ def load_idx(images_path, labels_path) -> Dataset:
     pixels = np.frombuffer(payload[:expected], dtype=np.uint8).astype(np.float64)
     features = (pixels / 255.0).reshape(count, rows * cols)
 
-    with open(labels_path, "rb") as fh:
-        magic = _read_be32(fh, labels_path)
-        if magic != IDX_LABEL_MAGIC:
-            raise DataError(f"unsupported magic 0x{magic:08x} in {labels_path}")
-        label_count = _read_be32(fh, labels_path)
-        label_payload = fh.read()
+    (label_count,), label_payload = _read_idx(labels_path, IDX_LABEL_MAGIC, 1)
     if label_count != count:
         raise DataError(f"count mismatch: {count} images vs {label_count} labels")
     if len(label_payload) < label_count:

@@ -11,12 +11,20 @@ serves both the gradient and the squared scores. ``train_visit`` fuses all
 minibatch steps of a batch visit into one loop that updates private buffers
 in place, with the same floating-point operations in the same order as the
 pure functions, so the results are bit-identical to them.
+
+The module also holds the serialisation helpers that the modules above it
+share: JSON field checks, the parameter-layout JSON codec and the atomic
+file write.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
+import os
+import tempfile
+import typing
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -131,6 +139,146 @@ class ParameterVector:
 
     def same_layout(self, other: "ParameterVector") -> bool:
         return self.layout == other.layout
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _list_of(check):
+    return lambda v: isinstance(v, list) and all(map(check, v))
+
+
+def _object_of(check):
+    return lambda v: isinstance(v, dict) and all(
+        isinstance(k, str) and check(x) for k, x in v.items()
+    )
+
+
+# How a JSON payload holds a value of each field type: (check, what an error
+# message says is expected). Booleans are neither integers nor numbers.
+_JSON_TYPES = {
+    str: (lambda v: isinstance(v, str), "a string"),
+    bool: (lambda v: isinstance(v, bool), "a boolean"),
+    int: (_is_int, "an integer"),
+    float: (_is_number, "a number"),
+    float | None: (lambda v: v is None or _is_number(v), "a number or null"),
+    list: (lambda v: isinstance(v, list), "a list"),
+    dict: (lambda v: isinstance(v, dict), "an object"),
+    tuple[int, ...]: (_list_of(_is_int), "a list of integers"),
+    tuple[float, ...]: (_list_of(_is_number), "a list of numbers"),
+    tuple[tuple[float, float], ...]: (
+        _list_of(lambda p: isinstance(p, list) and len(p) == 2 and all(map(_is_number, p))),
+        "a list of number pairs",
+    ),
+    dict[str, float]: (_object_of(_is_number), "an object of numbers"),
+    dict[str, tuple[float, ...]]: (_object_of(_list_of(_is_number)), "an object of number lists"),
+}
+
+
+def json_object(value, where: str, error) -> dict:
+    """``value`` if it is a JSON object; otherwise raises ``error``."""
+    if not isinstance(value, dict):
+        raise error(f"{where} must be a JSON object")
+    return value
+
+
+def check_version(payload: dict, key: str, supported: int, what: str, error) -> None:
+    """Raise ``error`` unless ``payload[key]`` is the integer ``supported``."""
+    version = payload.get(key)
+    if not _is_int(version) or version != supported:
+        raise error(f"unsupported {what} {version!r}")
+
+
+def json_field(payload: dict, key: str, kind, where: str, error):
+    """``payload[key]`` if present and a ``kind`` (a key of ``_JSON_TYPES``);
+    otherwise raises ``error``."""
+    if key not in payload:
+        raise error(f"{where}: missing key {key!r}")
+    check, expected = _JSON_TYPES[kind]
+    if not check(payload[key]):
+        raise error(f"{where}: {key!r} must be {expected}")
+    return payload[key]
+
+
+_type_hints = functools.lru_cache(maxsize=None)(typing.get_type_hints)
+
+
+def fields_from_json(cls, payload, where: str, error, keys=None) -> dict:
+    """Keyword arguments for dataclass ``cls`` from a JSON object.
+
+    ``keys`` maps a field to its JSON key where the two differ. Raises
+    ``error`` on a payload that is not an object, an unknown key, a missing
+    field without a default, and a value of the wrong type for its field.
+    """
+    json_object(payload, where, error)
+    hints = _type_hints(cls)
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    key_of = {name: (keys or {}).get(name, name) for name in fields}
+    unknown = set(payload) - set(key_of.values())
+    if unknown:
+        raise error(f"unknown {where} fields: {sorted(unknown)}")
+    return {
+        name: json_field(payload, key_of[name], hints[name], where, error)
+        for name, f in fields.items()
+        if key_of[name] in payload or f.default is dataclasses.MISSING
+    }
+
+
+def layout_to_json(layout: tuple[LayerSlice, ...]) -> list[dict]:
+    """The JSON form of a parameter layout, as snapshots and traces store it."""
+    return [{**dataclasses.asdict(s), "shape": list(s.shape)} for s in layout]
+
+
+def layout_from_json(items: list, where: str, error) -> tuple[LayerSlice, ...]:
+    """Parse ``layout_to_json`` output.
+
+    Raises ``error`` on a missing key or a wrongly typed value, and on slices
+    that do not tile the flat vector in order, each as long as its shape.
+    """
+    layout = []
+    for i, item in enumerate(items):
+        at = f"{where} layout[{i}]"
+        fields = fields_from_json(LayerSlice, item, at, error)
+        piece = LayerSlice(**{**fields, "shape": tuple(fields["shape"])})
+        begins = layout[-1].stop if layout else 0
+        size = math.prod(piece.shape)
+        if piece.start != begins or piece.stop - begins != size or min(piece.shape, default=1) < 1:
+            raise error(f"{at}: slice does not continue the layout")
+        layout.append(piece)
+    return tuple(layout)
+
+
+def params_from_json(payload: dict, key: str, where: str, error) -> ParameterVector:
+    """Parameters from ``payload[key]``, a number list, laid out by
+    ``payload["layout"]``, a ``layout_to_json`` list; raises ``error`` if
+    either is missing or malformed."""
+    layout = layout_from_json(json_field(payload, "layout", list, where, error), where, error)
+    values = json_field(payload, key, tuple[float, ...], where, error)
+    size = layout[-1].stop if layout else 0
+    if len(values) != size:
+        raise error(f"{where}: {key!r} must hold {size} numbers")
+    return ParameterVector(np.asarray(values, dtype=np.float64), layout)
+
+
+def write_atomic(path, content: str) -> None:
+    """Write ``content`` exactly (no newline translation) through a temp file
+    and a rename: a failed write leaves an earlier file intact and no temp
+    file behind."""
+    directory = os.path.dirname(os.fspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(content)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def zero_params(spec: MlpSpec) -> ParameterVector:
@@ -326,11 +474,6 @@ def loss_and_gradient(spec: MlpSpec, params: ParameterVector, x, labels):
     return loss, params.with_values(grad)
 
 
-def backward(spec: MlpSpec, params: ParameterVector, x, labels) -> ParameterVector:
-    """Analytic gradient of the mean cross-entropy loss."""
-    return loss_and_gradient(spec, params, x, labels)[1]
-
-
 def score_square_mean(spec: MlpSpec, params: ParameterVector, x, labels) -> np.ndarray:
     """Per-parameter mean of squared per-sample log-likelihood gradients."""
     x = _check_input(spec, x)
@@ -457,10 +600,11 @@ def train_visit(
     every minibatch is sliced from; the cross-entropy loss and the combined
     gradient must be finite on every step.
 
-    ``penalty(values, x, labels) -> (value, gradient)`` adds a term to each
-    step's loss and gradient; ``None`` trains on plain cross-entropy. Returns
-    fresh parameters, a fresh optimizer state and the mean step loss; the
-    caller's ``params`` and ``opt_state`` are never written.
+    ``penalty(values) -> (value, gradient)`` adds a term of the live flat
+    parameters to each step's loss and gradient; ``None`` trains on plain
+    cross-entropy. Returns fresh parameters, a fresh optimizer state and the
+    mean step loss; the caller's ``params`` and ``opt_state`` are never
+    written.
     """
     x = _check_input(spec, x)
     n = x.shape[0]
@@ -480,7 +624,7 @@ def train_visit(
         yb = labels[start:start + minibatch_size]
         loss = _loss_and_gradient_into(layers, blocks, xb, yb, all_rows[:yb.size], grad)
         if penalty is not None:
-            value, penalty_grad = penalty(values, xb, yb)
+            value, penalty_grad = penalty(values)
             loss += value
             grad += penalty_grad
         if not np.isfinite(grad).all():

@@ -7,30 +7,30 @@ from that anchor, weighted per coordinate by the accumulated Fisher mass:
     penalty(theta) = (lam / 2) * sum_i F_i * (theta_i - anchor_i)^2
 
 ``lam = 0`` switches the mechanism off entirely: losses and gradients are then
-bit-identical to plain cross-entropy training. A secondary ``trace`` mode
-penalises the live batch's own Fisher mass instead; its gradient runs through
-finite differences and is kept for exploration, not production runs.
+bit-identical to plain cross-entropy training.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .information import FisherEstimate
+from .information import FisherEstimate, InformationError
 from .numerics import (
-    LayerSlice,
     MlpSpec,
     ParameterVector,
+    check_version,
+    json_field,
+    json_object,
+    layout_to_json,
     loss_and_gradient,
-    score_square_mean,
+    params_from_json,
+    write_atomic,
 )
 
-PENALTY_MODES = ("quadratic", "trace")
 ACCUMULATION_MODES = ("sum", "mean")
 
 SNAPSHOT_VERSION = 1
@@ -42,17 +42,19 @@ class PenaltyError(ValueError):
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Strength and shape of the batch-to-batch penalty."""
+    """Strength and accumulation of the batch-to-batch penalty.
 
+    ``mode`` names the penalty form, the only one there is; report config
+    hashes include it.
+    """
+
+    mode: ClassVar[str] = "quadratic"
     lam: float = 0.1
-    mode: str = "quadratic"
     accumulation: str = "sum"
 
     def __post_init__(self):
         if not np.isfinite(self.lam) or self.lam < 0.0:
             raise PenaltyError(f"lam must be finite and >= 0, got {self.lam}")
-        if self.mode not in PENALTY_MODES:
-            raise PenaltyError(f"unknown penalty mode {self.mode!r}")
         if self.accumulation not in ACCUMULATION_MODES:
             raise PenaltyError(f"unknown accumulation mode {self.accumulation!r}")
 
@@ -106,110 +108,44 @@ def absorb_batch(
     return PenaltyState(accumulated=merged, batches_consumed=state.batches_consumed + 1)
 
 
-def _check_layout(state: PenaltyState, params: ParameterVector):
-    if not state.accumulated.anchor.same_layout(params):
-        raise PenaltyError("parameter layout does not match the penalty state")
+def penalty_term(state: PenaltyState, cfg: PenaltyConfig, params: ParameterVector):
+    """The penalty as a function of flat parameter values, or ``None``.
 
-
-def penalty_value(
-    state: PenaltyState,
-    params: ParameterVector,
-    cfg: PenaltyConfig,
-    spec: MlpSpec | None = None,
-    x=None,
-    labels=None,
-) -> float:
-    """Penalty for the current parameters given the accumulated state.
-
-    Quadratic mode needs only the state; trace mode recomputes the live
-    batch's Fisher diagonal at the current parameters and therefore requires
-    ``spec``, ``x`` and ``labels``.
-    """
-    if cfg.lam == 0.0 or state.is_empty:
-        return 0.0
-    if cfg.mode == "quadratic":
-        _check_layout(state, params)
-        acc = state.accumulated
-        shift = params.values - acc.anchor.values
-        return float(0.5 * cfg.lam * np.sum(acc.diagonal * shift**2))
-    if spec is None or x is None or labels is None:
-        raise PenaltyError("trace mode needs the live batch (spec, x, labels)")
-    return float(cfg.lam * np.sum(score_square_mean(spec, params, x, labels)))
-
-
-def penalty_gradient(
-    state: PenaltyState,
-    params: ParameterVector,
-    cfg: PenaltyConfig,
-    spec: MlpSpec | None = None,
-    x=None,
-    labels=None,
-    fd_step: float = 1e-4,
-) -> np.ndarray:
-    """Gradient of ``penalty_value`` with respect to the parameters.
-
-    Quadratic mode is analytic. Trace mode differentiates the live-batch
-    Fisher mass by central differences; experimental and O(|theta|) Fisher
-    evaluations per call.
-    """
-    if cfg.lam == 0.0 or state.is_empty:
-        return np.zeros_like(params.values)
-    if cfg.mode == "quadratic":
-        _check_layout(state, params)
-        acc = state.accumulated
-        return cfg.lam * acc.diagonal * (params.values - acc.anchor.values)
-    if spec is None or x is None or labels is None:
-        raise PenaltyError("trace mode needs the live batch (spec, x, labels)")
-    grad = np.zeros_like(params.values)
-    for i in range(params.size):
-        up = params.values.copy()
-        dn = params.values.copy()
-        up[i] += fd_step
-        dn[i] -= fd_step
-        f_up = np.sum(score_square_mean(spec, params.with_values(up), x, labels))
-        f_dn = np.sum(score_square_mean(spec, params.with_values(dn), x, labels))
-        grad[i] = cfg.lam * (f_up - f_dn) / (2.0 * fd_step)
-    return grad
-
-
-def penalty_term(
-    state: PenaltyState,
-    cfg: PenaltyConfig,
-    params: ParameterVector,
-    spec: MlpSpec | None = None,
-):
-    """The penalty as a per-step term for ``numerics.train_visit``, or ``None``.
-
-    ``None`` when the penalty is off (``lam = 0`` or an empty state), so the
-    visit trains on plain cross-entropy. Otherwise a function
-    ``term(values, x, labels) -> (value, gradient)`` for the live flat
-    parameter values; the state cannot change within a visit, so the layout
-    check and the constant factors are settled here once. The quadratic term
-    rounds exactly like ``penalty_value`` and ``penalty_gradient``.
+    ``None`` when the penalty is off (``lam = 0`` or an empty state), so
+    training runs on plain cross-entropy. Otherwise a function
+    ``term(values) -> (value, gradient)`` with ``params``' layout, as
+    ``numerics.train_visit`` takes it; the state cannot change within a
+    visit, so the layout check and the constant factors are settled here
+    once.
     """
     if cfg.lam == 0.0 or state.is_empty:
         return None
-    _check_layout(state, params)
     acc = state.accumulated
-    if cfg.mode == "quadratic":
-        anchor, diagonal = acc.anchor.values, acc.diagonal
-        half_lam, lam_diagonal = 0.5 * cfg.lam, cfg.lam * diagonal
+    if not acc.anchor.same_layout(params):
+        raise PenaltyError("parameter layout does not match the penalty state")
+    anchor, diagonal = acc.anchor.values, acc.diagonal
+    half_lam, lam_diagonal = 0.5 * cfg.lam, cfg.lam * diagonal
 
-        def quadratic(values, x, labels):
-            shift = values - anchor
-            # np.add.reduce: np.sum's rounding without its Python wrapper.
-            return float(half_lam * np.add.reduce(diagonal * shift**2)), lam_diagonal * shift
+    def quadratic(values):
+        shift = values - anchor
+        # np.add.reduce: np.sum's rounding without its Python wrapper.
+        return float(half_lam * np.add.reduce(diagonal * shift**2)), lam_diagonal * shift
 
-        return quadratic
+    return quadratic
 
-    def trace(values, x, labels):
-        live = ParameterVector(values.copy(), params.layout)
-        return (
-            penalty_value(state, live, cfg, spec=spec, x=x, labels=labels),
-            penalty_gradient(state, live, cfg, spec=spec, x=x, labels=labels),
-        )
 
-    return trace
+def penalty_value(state: PenaltyState, params: ParameterVector, cfg: PenaltyConfig) -> float:
+    """Penalty for the current parameters given the accumulated state."""
+    term = penalty_term(state, cfg, params)
+    return 0.0 if term is None else term(params.values)[0]
+
+
+def penalty_gradient(
+    state: PenaltyState, params: ParameterVector, cfg: PenaltyConfig
+) -> np.ndarray:
+    """Analytic gradient of ``penalty_value`` with respect to the parameters."""
+    term = penalty_term(state, cfg, params)
+    return np.zeros_like(params.values) if term is None else term(params.values)[1]
 
 
 def penalized_loss_and_grad(
@@ -226,10 +162,10 @@ def penalized_loss_and_grad(
     untouched, so penalised and plain training trajectories stay bit-identical.
     """
     ce_loss, ce_grad = loss_and_gradient(spec, params, x, labels)
-    if cfg.lam == 0.0 or state.is_empty:
+    term = penalty_term(state, cfg, params)
+    if term is None:
         return ce_loss, ce_grad
-    pen = penalty_value(state, params, cfg, spec=spec, x=x, labels=labels)
-    pgrad = penalty_gradient(state, params, cfg, spec=spec, x=x, labels=labels)
+    pen, pgrad = term(params.values)
     return ce_loss + pen, ce_grad.with_values(ce_grad.values + pgrad)
 
 
@@ -244,45 +180,32 @@ def state_to_dict(state: PenaltyState) -> dict:
         "sample_count": acc.sample_count,
         "diagonal": acc.diagonal.tolist(),
         "anchor": acc.anchor.values.tolist(),
-        "layout": [
-            {"name": s.name, "shape": list(s.shape), "start": s.start, "stop": s.stop}
-            for s in acc.anchor.layout
-        ],
+        "layout": layout_to_json(acc.anchor.layout),
     }
 
 
 def state_from_dict(payload: dict) -> PenaltyState:
-    version = payload.get("version")
-    if version != SNAPSHOT_VERSION:
-        raise PenaltyError(f"unsupported snapshot version {version!r}")
-    if payload.get("batches_consumed", 0) == 0:
+    """Parse a snapshot; a missing key or a wrongly typed value is a PenaltyError."""
+    json_object(payload, "snapshot", PenaltyError)
+    check_version(payload, "version", SNAPSHOT_VERSION, "snapshot version", PenaltyError)
+    batches = json_field(payload, "batches_consumed", int, "snapshot", PenaltyError)
+    if batches == 0:
         return PenaltyState.empty()
-    layout = tuple(
-        LayerSlice(item["name"], tuple(item["shape"]), item["start"], item["stop"])
-        for item in payload["layout"]
-    )
-    anchor = ParameterVector(np.asarray(payload["anchor"], dtype=np.float64), layout)
-    estimate = FisherEstimate(
-        np.asarray(payload["diagonal"], dtype=np.float64),
-        anchor,
-        int(payload["sample_count"]),
-    )
-    return PenaltyState(accumulated=estimate, batches_consumed=int(payload["batches_consumed"]))
+    if batches < 0:
+        raise PenaltyError("snapshot: 'batches_consumed' must be >= 0")
+    anchor = params_from_json(payload, "anchor", "snapshot", PenaltyError)
+    diagonal = json_field(payload, "diagonal", tuple[float, ...], "snapshot", PenaltyError)
+    samples = json_field(payload, "sample_count", int, "snapshot", PenaltyError)
+    try:
+        estimate = FisherEstimate(np.asarray(diagonal, dtype=np.float64), anchor, samples)
+    except InformationError as exc:
+        raise PenaltyError(f"snapshot: {exc}") from None
+    return PenaltyState(accumulated=estimate, batches_consumed=batches)
 
 
 def save_state(state: PenaltyState, path) -> None:
     """Write a snapshot atomically (temp file then rename)."""
-    payload = json.dumps(state_to_dict(state), sort_keys=True, indent=2) + "\n"
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, json.dumps(state_to_dict(state), sort_keys=True, indent=2) + "\n")
 
 
 def load_state(path) -> PenaltyState:

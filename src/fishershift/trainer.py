@@ -22,21 +22,26 @@ its lambda rows.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .data import Dataset, FragmentationPlan, batch_moments
 from .information import empirical_fisher_diagonal, gaussian_kl
 from .numerics import (
-    LayerSlice,
     MlpSpec,
     OptimizerConfig,
     OptimizerState,
     ParameterVector,
+    check_version,
+    fields_from_json,
     forward,
     init_optimizer_state,
     init_params,
+    json_field,
+    json_object,
+    layout_to_json,
+    params_from_json,
     train_visit,
 )
 from .penalty import (
@@ -47,7 +52,8 @@ from .penalty import (
     penalty_term,
 )
 
-BASELINE_MODES = ("c3", "cv_sequential", "cv_independent")
+# The penalised run and the two cross-validation baselines.
+RUN_MODES = ("c3", "cv_sequential", "cv_independent")
 
 TRACE_SCHEMA_VERSION = 1
 
@@ -73,7 +79,7 @@ class TrainConfig:
             raise TrainerError("epochs must be >= 1")
         if self.minibatch_size < 1:
             raise TrainerError("minibatch_size must be >= 1")
-        if self.baseline_mode not in BASELINE_MODES:
+        if self.baseline_mode not in RUN_MODES:
             raise TrainerError(f"unknown baseline mode {self.baseline_mode!r}")
 
 
@@ -88,6 +94,8 @@ class BatchRecord:
     kl_to_earlier: tuple[float, ...]
 
     def __post_init__(self):
+        if self.epoch < 1 or len(self.kl_to_earlier) != self.batch_index:
+            raise TrainerError("a record needs epoch >= 1 and one KL per earlier batch")
         if not 0.0 <= self.validation_accuracy <= 1.0:
             raise TrainerError("validation accuracy must lie in [0, 1]")
         if any(k < 0.0 for k in self.kl_to_earlier):
@@ -123,21 +131,11 @@ class RunTrace:
         return {
             "schema_version": TRACE_SCHEMA_VERSION,
             "records": [
-                {
-                    "epoch": r.epoch,
-                    "batch_index": r.batch_index,
-                    "validation_accuracy": r.validation_accuracy,
-                    "mean_loss": r.mean_loss,
-                    "kl_to_earlier": list(r.kl_to_earlier),
-                }
-                for r in self.records
+                {**asdict(r), "kl_to_earlier": list(r.kl_to_earlier)} for r in self.records
             ],
             "final_params": {
                 "values": self.final_params.values.tolist(),
-                "layout": [
-                    {"name": s.name, "shape": list(s.shape), "start": s.start, "stop": s.stop}
-                    for s in self.final_params.layout
-                ],
+                "layout": layout_to_json(self.final_params.layout),
             },
         }
 
@@ -146,26 +144,21 @@ class RunTrace:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "RunTrace":
-        if payload.get("schema_version") != TRACE_SCHEMA_VERSION:
-            raise TrainerError(f"unsupported trace schema {payload.get('schema_version')!r}")
-        records = tuple(
-            BatchRecord(
-                epoch=r["epoch"],
-                batch_index=r["batch_index"],
-                validation_accuracy=r["validation_accuracy"],
-                mean_loss=r["mean_loss"],
-                kl_to_earlier=tuple(r["kl_to_earlier"]),
-            )
-            for r in payload["records"]
-        )
-        layout = tuple(
-            LayerSlice(item["name"], tuple(item["shape"]), item["start"], item["stop"])
-            for item in payload["final_params"]["layout"]
-        )
-        params = ParameterVector(
-            np.asarray(payload["final_params"]["values"], dtype=np.float64), layout
-        )
-        return cls(records=records, final_params=params)
+        """Parse a trace; a missing key or a wrongly typed value is a TrainerError."""
+        where = "trace payload"
+        json_object(payload, where, TrainerError)
+        check_version(payload, "schema_version", TRACE_SCHEMA_VERSION, "trace schema",
+                      TrainerError)
+        records = []
+        for i, item in enumerate(json_field(payload, "records", list, where, TrainerError)):
+            fields = fields_from_json(BatchRecord, item, f"trace record {i}", TrainerError)
+            fields["kl_to_earlier"] = tuple(fields["kl_to_earlier"])
+            records.append(BatchRecord(**fields))
+        if not records:
+            raise TrainerError(f"{where}: 'records' must not be empty")
+        final = json_field(payload, "final_params", dict, where, TrainerError)
+        params = params_from_json(final, "values", "trace final_params", TrainerError)
+        return cls(records=tuple(records), final_params=params)
 
 
 def evaluate(spec: MlpSpec, params: ParameterVector, dataset: Dataset) -> float:
@@ -258,7 +251,7 @@ def shift_correction(
         x, y = dataset.rows(plan.batch_indices(i))
         params, opt_state, mean_loss = train_visit(
             spec, params, opt_state, x, y, cfg.minibatch_size,
-            penalty_term(state, pcfg, params, spec),
+            penalty_term(state, pcfg, params),
         )
         if penalize:
             fisher = empirical_fisher_diagonal(spec, params, x, y)
@@ -280,10 +273,3 @@ def shift_correction(
         final_penalty_state=state,
         final_optimizer_state=opt_state,
     )
-
-
-def cv_baseline(dataset, validation, plan, spec, cfg: TrainConfig) -> RunTrace:
-    """Run one of the two cross-validation baselines named by the config."""
-    if cfg.baseline_mode == "c3":
-        raise TrainerError("cv_baseline needs baseline_mode cv_sequential or cv_independent")
-    return shift_correction(dataset, validation, plan, spec, cfg)

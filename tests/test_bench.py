@@ -21,7 +21,6 @@ from fishershift.bench import (
     format_delta,
     lambda_sweep,
     population_variance,
-    recalibrated,
     run_protocol,
     tabular_spec,
     verify_report,
@@ -108,15 +107,6 @@ class TestDeltas:
         assert population_variance(accs) == pytest.approx(np.var(accs), abs=1e-12)
 
 
-class TestRecalibrated:
-    def test_effective_strength(self):
-        cfg = PenaltyConfig(lam=0.1)
-        assert recalibrated(cfg).lam == pytest.approx(0.1 / 1.1, abs=1e-15)
-
-    def test_zero_stays_zero(self):
-        assert recalibrated(PenaltyConfig(lam=0.0)).lam == 0.0
-
-
 class TestRunProtocol:
     def test_report_structure_and_consistency(self, small_report):
         assert len(small_report.rows) == 1
@@ -191,7 +181,7 @@ class TestFoldwise:
         from dataclasses import replace as dc_replace
 
         import fishershift.bench as bench
-        from fishershift.data import fragment, synth_shift
+        from fishershift.data import FragmentationPlan, fragment, synth_shift
         from fishershift.trainer import shift_correction
 
         folds = 3
@@ -210,7 +200,7 @@ class TestFoldwise:
             val = ds.subset(fold_plan.batch_indices(rot))
             train_rows = [fold_plan.batch_indices(i) for i in range(folds) if i != rot]
             train = ds.subset(np.concatenate(train_rows))
-            plan = bench._plan_from_sizes([r.size for r in train_rows])
+            plan = FragmentationPlan.from_sizes([r.size for r in train_rows])
             run_cfg = dc_replace(cfg, seed=seed, baseline_mode="c3")
             trace = shift_correction(train, val, plan, tabular_spec(4), run_cfg)
             sums += np.asarray(trace.per_batch_accuracies()) * 100.0

@@ -25,6 +25,24 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def write_csv_source(path, rows=40):
+    lines = ["f0,f1,label"]
+    lines += [f"{i * 0.1},{1.0 - i * 0.1},{'a' if i % 2 else 'b'}" for i in range(rows)]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+RECIPE = {"kind": "mean_drift", "batch_count": 3, "features": 4}
+MALFORMED_RECIPES = {
+    "not_object": ([1, 2], "recipe must be a JSON object"),
+    "string_int": ({**RECIPE, "batch_count": "5"}, "recipe: 'batch_count' must be an integer"),
+    "bool_int": ({**RECIPE, "batch_count": True}, "recipe: 'batch_count' must be an integer"),
+    "null_number": ({**RECIPE, "delta": None}, "recipe: 'delta' must be a number"),
+    "nan_number": ({**RECIPE, "delta": float("nan")}, "recipe numbers must be finite"),
+    "missing_kind": ({"batch_count": 3}, "recipe: missing key 'kind'"),
+}
+
+
 class TestTrain:
     def test_writes_schema_valid_trace(self, recipe_path, tmp_path, capsys):
         out = str(tmp_path / "run.json")
@@ -63,14 +81,10 @@ class TestTrain:
         assert "data source" in capsys.readouterr().err
 
     def test_csv_source(self, tmp_path):
-        csv_path = tmp_path / "data.csv"
-        rows = ["f0,f1,label"]
-        rows += [f"{i * 0.1},{1.0 - i * 0.1},{'a' if i % 2 else 'b'}" for i in range(40)]
-        csv_path.write_text("\n".join(rows) + "\n")
         out = tmp_path / "run.json"
         code = run_cli(
-            "train", "--csv", str(csv_path), "--batches", "2", "--epochs", "1",
-            "--out", str(out),
+            "train", "--csv", write_csv_source(tmp_path / "data.csv"), "--batches", "2",
+            "--epochs", "1", "--out", str(out),
         )
         assert code == 0 and out.exists()
 
@@ -144,6 +158,54 @@ class TestSynth:
         assert a.read_bytes() == b.read_bytes()
         meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
         assert meta["batch_sizes"] == [30, 30, 30]
+
+    def test_failed_write_leaves_earlier_csv_intact(self, recipe_path, tmp_path, monkeypatch,
+                                                    capsys):
+        out = tmp_path / "data.csv"
+        argv = ["synth", "--recipe", recipe_path, "--samples-per-batch", "30", "--out", str(out)]
+        assert run_cli(*argv, "--seed", "1") == 0
+        earlier = out.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        capsys.readouterr()
+        assert run_cli(*argv, "--seed", "2") == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert out.read_bytes() == earlier
+        assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("recipe, message", MALFORMED_RECIPES.values(),
+                         ids=MALFORMED_RECIPES.keys())
+@pytest.mark.parametrize("command", ["train", "synth", "sweep"])
+def test_malformed_recipe_exits_1_with_one_line(command, recipe, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(recipe))
+    flag = "--recipe" if command == "synth" else "--synth"
+    assert run_cli(command, flag, str(path), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_shuffle_auto_keeps_recipe_order_and_shuffles_datasets(recipe_path, tmp_path):
+    runs = {
+        "train-recipe": ["train", "--synth", recipe_path, "--samples-per-batch", "60"],
+        "train-csv": ["train", "--csv", write_csv_source(tmp_path / "data.csv")],
+        "sweep-recipe": ["sweep", "--synth", recipe_path, "--values", "0.1", "--repetitions",
+                         "1", "--samples", "200", "--learning-rate", "0.15"],
+    }
+    out = {}
+    for name, argv in runs.items():
+        for choice in ("auto", "on", "off"):
+            path = tmp_path / f"{name}-{choice}.json"
+            assert run_cli(*argv, "--batches", "2", "--epochs", "2", "--shuffle", choice,
+                           "--out", str(path)) == 0
+            out[name, choice] = path.read_bytes()
+    for name, same in (("train-recipe", "off"), ("train-csv", "on"), ("sweep-recipe", "off")):
+        other = "on" if same == "off" else "off"
+        assert out[name, "auto"] == out[name, same] != out[name, other]
 
 
 class TestReport:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fishershift.information import FisherEstimate, empirical_fisher_diagonal
+from fishershift.information import FisherEstimate
 from fishershift.numerics import MlpSpec, init_params, loss_and_gradient, zero_params
 from fishershift.penalty import (
     PenaltyConfig,
@@ -168,41 +168,11 @@ class TestPenalizedLossAndGrad:
         analytic = penalty_gradient(state, params, cfg)
         assert max_relative_error(analytic, fd, floor=1e-8) < 1e-6
 
-    def test_trace_mode_value_and_fd_gradient(self):
-        spec = MlpSpec(input_dim=2, hidden_layers=(), output_classes=2)
-        params = init_params(spec, 0)
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(6, 2))
-        labels = rng.integers(0, 2, size=6)
-        fisher = empirical_fisher_diagonal(spec, params, x, labels)
-        cfg = PenaltyConfig(lam=0.1, mode="trace")
-        state = absorb_batch(PenaltyState.empty(), fisher, params, cfg)
-        value = penalty_value(state, params, cfg, spec=spec, x=x, labels=labels)
-        assert value == pytest.approx(0.1 * fisher.diagonal.sum(), rel=1e-12)
-        assert value >= 0.0
-
-        def pen_at(theta):
-            return penalty_value(state, params.with_values(theta), cfg, spec=spec, x=x, labels=labels)
-
-        fd = central_difference_gradient(pen_at, params.values, step=1e-5)
-        grad = penalty_gradient(state, params, cfg, spec=spec, x=x, labels=labels)
-        assert max_relative_error(grad, fd, floor=1e-6) < 1e-3
-
-    def test_trace_mode_requires_live_batch(self):
-        params, x, labels, state = self.seeded_case(2)
-        cfg = PenaltyConfig(lam=0.1, mode="trace")
-        with pytest.raises(PenaltyError, match="live batch"):
-            penalty_value(state, params, cfg)
-
 
 class TestConfigValidation:
     def test_negative_lambda_rejected(self):
         with pytest.raises(PenaltyError, match="lam"):
             PenaltyConfig(lam=-0.1)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(PenaltyError, match="mode"):
-            PenaltyConfig(mode="cubic")
 
     def test_unknown_accumulation_rejected(self):
         with pytest.raises(PenaltyError, match="accumulation"):

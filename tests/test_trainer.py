@@ -25,7 +25,6 @@ from fishershift.trainer import (
     RunTrace,
     TrainConfig,
     TrainerError,
-    cv_baseline,
     evaluate,
     kl_diagnostic_matrix,
     shift_correction,
@@ -103,7 +102,7 @@ class TestReduction:
         c3_cfg = quick_config(penalty=PenaltyConfig(lam=0.0), baseline_mode="c3")
         cv_cfg = quick_config(penalty=PenaltyConfig(lam=0.1), baseline_mode="cv_sequential")
         a = shift_correction(train, val, plan, SPEC, c3_cfg)
-        b = cv_baseline(train, val, plan, SPEC, cv_cfg)
+        b = shift_correction(train, val, plan, SPEC, cv_cfg)
         assert np.array_equal(a.final_params.values, b.final_params.values)
         assert a.records == b.records
 
@@ -274,11 +273,6 @@ class TestIndependentBaseline:
         cfg = quick_config(baseline_mode="cv_independent")
         with pytest.raises(TrainerError, match="initial_"):
             shift_correction(train, val, plan, SPEC, cfg, **{initial: values[initial]})
-
-    def test_cv_baseline_rejects_c3_mode(self):
-        train, val, plan = drift_setup(k=2, n_per_batch=60)
-        with pytest.raises(TrainerError, match="cv_sequential or cv_independent"):
-            cv_baseline(train, val, plan, SPEC, quick_config(baseline_mode="c3"))
 
 
 class TestNonFiniteTraining:

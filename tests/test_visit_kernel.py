@@ -70,7 +70,7 @@ def test_kernel_matches_step_composition_bitwise(spec, kind, penalty, rows):
     before = (params.values.copy(), opt_state.m.copy(), opt_state.v.copy())
 
     want_p, want_opt, want_loss = reference_visit(spec, params, opt_state, x, y, 32, state, cfg)
-    term = penalty_term(state, cfg, params, spec)
+    term = penalty_term(state, cfg, params)
     assert (term is None) == (penalty == "empty")
     got_p, got_opt, got_loss = train_visit(spec, params, opt_state, x, y, 32, term)
 
