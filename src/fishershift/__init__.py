@@ -99,6 +99,7 @@ from .trainer import (
     evaluate,
     kl_diagnostic_matrix,
     shift_correction,
+    train_members,
 )
 
 __version__ = "0.1.0"

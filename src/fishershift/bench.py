@@ -4,9 +4,11 @@ A protocol names a list of batchwise splits (training fraction, batch count)
 or a foldwise fold count, and a sweep adds a grid of penalty strengths. The
 unit of work is one (split, repetition), seeded by hashing the split
 configuration: it materialises the data, the validation split and the plan
-once, trains both cross-validation baselines once (they do not depend on
-lambda), then the penalised trainer once per distinct lambda. Every lambda
-row of the split shares those baseline outcomes, averaged over repetitions.
+once, trains ``cv_independent`` once, then ``cv_sequential`` and the
+penalised trainer at every distinct lambda once each, together as one
+stack (``trainer.train_members``): the baselines do not depend on lambda,
+and the stacked runs differ only in mode and lambda. Every lambda row of
+the split shares the baseline outcomes, averaged over repetitions.
 A time budget is checked before each split, and an exhausted budget skips
 the whole split: all of its lambda rows. Reports store the raw per-batch
 accuracy columns next to every derived statistic so a verifier can recompute
@@ -44,17 +46,16 @@ from .numerics import (
     fields_from_json,
     json_field,
     json_object,
+    parse_json,
 )
 from .penalty import PenaltyConfig
-from .trainer import RUN_MODES, TrainConfig, shift_correction
+from .trainer import RUN_MODES, TrainConfig, shift_correction, train_members
 
 REPORT_SCHEMA_VERSION = 1
 
 BATCHWISE_GRID = ((0.05, 20), (0.10, 10), (0.15, 6), (0.20, 5), (0.25, 4), (0.50, 2))
 
 LAMBDA_GRID = (0.01, 0.04, 0.07, 0.1)
-
-_BASELINES = RUN_MODES[1:]
 
 
 class BenchError(ValueError):
@@ -179,7 +180,7 @@ class ExperimentReport:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentReport":
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(parse_json(text, "report", BenchError))
 
 
 def delta_value(a: float, b: float) -> float:
@@ -236,23 +237,24 @@ def _accuracies(trace) -> tuple[list[float], float]:
 def _train_split(train, val, plan, spec, train_cfg, seed, lambdas) -> list[dict]:
     """Every distinct training of one (train, validation, plan) split.
 
-    Both baselines train once, and ``c3`` once per distinct lambda; returns
+    ``cv_independent`` trains once on its own; ``cv_sequential`` and one
+    ``c3`` per distinct lambda train once, together, as one stack. Returns
     one ``{mode: (batch accuracies, final accuracy)}`` outcome per entry of
     ``lambdas``, each holding the shared baseline outcomes.
     """
-    baselines = {
-        mode: _accuracies(
-            shift_correction(train, val, plan, spec, _mode_config(train_cfg, mode, 0.0, seed))
-        )
-        for mode in _BASELINES
-    }
-    c3 = {
-        lam: _accuracies(
-            shift_correction(train, val, plan, spec, _mode_config(train_cfg, "c3", lam, seed))
-        )
-        for lam in dict.fromkeys(lambdas)
-    }
-    return [{"c3": c3[lam], **baselines} for lam in lambdas]
+    independent = shift_correction(
+        train, val, plan, spec, _mode_config(train_cfg, "cv_independent", 0.0, seed)
+    )
+    distinct = tuple(dict.fromkeys(lambdas))
+    sequential, *c3 = train_members(
+        train, val, plan, spec,
+        [_mode_config(train_cfg, "cv_sequential", 0.0, seed)]
+        + [_mode_config(train_cfg, "c3", lam, seed) for lam in distinct],
+    )
+    baselines = {"cv_sequential": _accuracies(sequential),
+                 "cv_independent": _accuracies(independent)}
+    by_lambda = {lam: _accuracies(trace) for lam, trace in zip(distinct, c3)}
+    return [{"c3": by_lambda[lam], **baselines} for lam in lambdas]
 
 
 def _run_split_rep(args) -> list[dict]:

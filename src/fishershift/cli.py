@@ -45,6 +45,7 @@ from .numerics import (
     MlpSpec,
     NumericsError,
     OptimizerConfig,
+    read_json,
     write_atomic,
 )
 from .penalty import ACCUMULATION_MODES, PenaltyConfig, PenaltyError
@@ -58,12 +59,22 @@ USER_ERRORS = (
     InformationError,
     NumericsError,
     OSError,
-    json.JSONDecodeError,
 )
 
 
 # --shuffle: "auto" leaves the choice to data.shuffle_rows.
 SHUFFLE_CHOICES = {"auto": None, "on": True, "off": False}
+
+
+class DefaultsHelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends "(default: ...)" to a flag's help only when the default is a
+    value: a ``None`` default means the flag is required, optional or worked
+    out elsewhere, and its help text says which."""
+
+    def _get_help_string(self, action):
+        if action.default is None:
+            return action.help
+        return super()._get_help_string(action)
 
 
 def add_source_flags(parser: argparse.ArgumentParser) -> None:
@@ -244,8 +255,7 @@ def cmd_synth(args, parser) -> int:
 
 
 def cmd_report(args, parser) -> int:
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        report = ExperimentReport.from_json(fh.read())
+    report = ExperimentReport.from_json_dict(read_json(args.infile, BenchError))
     verify_report(report)
     rendered = emit_report(report, args.format)
     if args.out:
@@ -262,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sequential-batch training with an accumulated Fisher-information penalty.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+    fmt = DefaultsHelpFormatter
 
     p_train = sub.add_parser("train", formatter_class=fmt,
                              help="run one training pass over ordered batches")

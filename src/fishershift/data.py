@@ -13,14 +13,13 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .information import GaussianMoments
-from .numerics import fields_from_json, write_atomic
+from .numerics import fields_from_json, read_json, write_atomic
 
 SHIFT_KINDS = ("mean_drift", "feature_permutation", "gaussian_corruption")
 
@@ -197,8 +196,7 @@ class ShiftRecipe:
 
     @classmethod
     def from_json_file(cls, path) -> "ShiftRecipe":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path, DataError))
 
 
 def class_directions(recipe: ShiftRecipe) -> tuple[np.ndarray, np.ndarray]:

@@ -6,11 +6,16 @@ optimizers (plain SGD and bias-corrected Adam). Model parameters live in a
 single flat vector with a layout map so penalty and optimizer code can treat
 them uniformly.
 
-Each spec's layer slices are resolved once and cached. One backprop routine
-serves both the gradient and the squared scores. ``train_visit`` fuses all
-minibatch steps of a batch visit into one loop that updates private buffers
-in place, with the same floating-point operations in the same order as the
-pure functions, so the results are bit-identical to them.
+Each spec's layer slices are resolved once and cached. The forward pass,
+the softmax and the one backprop routine work on a stack of M models whose
+flat vectors are the rows of one (M, P) matrix, with batched products;
+``forward``, ``loss_and_gradient`` and ``score_square_mean`` are their M=1
+case, and the backprop serves both the gradient and the squared scores.
+``train_visit``, the one step kernel, runs every minibatch step of a batch
+visit for all M members in lockstep, updating private buffers in place. Per
+member it performs the same floating-point operations in the same order as
+the pure functions, so each member's results are bit-identical to them and
+to a run of that member alone.
 
 The module also holds the serialisation helpers that the modules above it
 share: JSON field checks, the parameter-layout JSON codec and the atomic
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import math
 import os
 import tempfile
@@ -265,6 +271,21 @@ def params_from_json(payload: dict, key: str, where: str, error) -> ParameterVec
     return ParameterVector(np.asarray(values, dtype=np.float64), layout)
 
 
+def parse_json(text, where: str, error):
+    """The JSON value in ``text`` (a string or bytes); raises ``error`` with a
+    one-line message if ``text`` is not JSON."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not Unicode
+        raise error(f"{where}: not valid JSON ({exc})") from None
+
+
+def read_json(path, error):
+    """The JSON value in the file at ``path``; raises ``error`` if it is not JSON."""
+    with open(path, "rb") as fh:
+        return parse_json(fh.read(), os.fspath(path), error)
+
+
 def write_atomic(path, content: str) -> None:
     """Write ``content`` exactly (no newline translation) through a temp file
     and a rename: a failed write leaves an earlier file intact and no temp
@@ -350,30 +371,37 @@ def _layer_plan(spec: MlpSpec) -> tuple[tuple[LayerSlice, ...], tuple[_Layer, ..
     return layout, tuple(layers)
 
 
-def _layers_for(spec: MlpSpec, params: ParameterVector) -> tuple[_Layer, ...]:
+def _layers_for(spec: MlpSpec, members) -> tuple[_Layer, ...]:
+    """The spec's layer plan, once every member is checked to have its layout."""
+    if not members:
+        raise NumericsError("a stack needs at least one member")
     layout, layers = _layer_plan(spec)
-    if params.layout != layout:
+    if any(params.layout != layout for params in members):
         raise NumericsError("parameter layout does not match the model spec")
     return layers
 
 
 def _views(layers: tuple[_Layer, ...], values: np.ndarray) -> list:
-    """Per-layer (weight, bias) views into ``values``; they track in-place updates."""
-    return [
-        (
-            values[layer.weight].reshape(layer.shape),
-            None if layer.bias is None else values[layer.bias],
-        )
-        for layer in layers
-    ]
+    """Per-layer (weight, bias, transposed weight) views into the (M, P)
+    matrix ``values``, one member per row: weights (M, fan_in, fan_out),
+    biases (M, 1, fan_out). They track in-place updates of ``values``."""
+    members = values.shape[0]
+    blocks = []
+    for layer in layers:
+        w = values[:, layer.weight].reshape(members, *layer.shape)
+        b = None if layer.bias is None else values[:, None, layer.bias]
+        blocks.append((w, b, w.transpose(0, 2, 1)))
+    return blocks
 
 
 def _forward_trace(layers, blocks, x: np.ndarray):
-    """Each layer's input and pre-activation; the last pre-activation is the logits."""
+    """Each layer's input and pre-activation for every member; the last
+    pre-activation is the logits. The input ``x`` (rows, features) is shared;
+    every later array is (M, rows, width)."""
     activations = [x]
     pre_acts = []
     h = x
-    for layer, (w, b) in zip(layers, blocks):
+    for layer, (w, b, _) in zip(layers, blocks):
         z = h @ w
         if b is not None:
             z += b
@@ -383,8 +411,10 @@ def _forward_trace(layers, blocks, x: np.ndarray):
     return activations, pre_acts
 
 
-def _backprop(layers, blocks, activations, pre_acts, delta, out: np.ndarray, squared: bool):
-    """Propagate a logit-level ``delta`` back through every layer into ``out``.
+def _backprop(layers, blocks, activations, pre_acts, delta, out_blocks, squared: bool):
+    """Propagate each member's logit-level ``delta`` (M, rows, classes) back
+    through every layer into ``out_blocks``, the ``_views`` of an (M, P)
+    output matrix; the products write straight into it.
 
     With ``squared=False`` each block receives the batch gradient, h.T @ delta.
     With ``squared=True`` it receives the batch sum of squared per-sample
@@ -397,43 +427,59 @@ def _backprop(layers, blocks, activations, pre_acts, delta, out: np.ndarray, squ
         h = activations[i]
         if squared:
             d = delta**2
-            out[layer.weight] = ((h**2).T @ d).ravel()
+            h = h**2
         else:
             d = delta
-            out[layer.weight] = (h.T @ d).ravel()
-        if layer.bias is not None:
-            out[layer.bias] = np.add.reduce(d, axis=0)
+        out_weight, out_bias, _ = out_blocks[i]
+        np.matmul(h.swapaxes(-1, -2), d, out=out_weight)
+        if out_bias is not None:
+            np.add.reduce(d, axis=-2, keepdims=True, out=out_bias)
         if i > 0:
-            delta = delta @ blocks[i][0].T
+            delta = delta @ blocks[i][2]
             if layers[i - 1].relu:
                 delta *= pre_acts[i - 1] > 0.0
 
 
-def forward(spec: MlpSpec, params: ParameterVector, x) -> np.ndarray:
-    """Logits of shape (rows, output_classes)."""
+def _stack(members) -> np.ndarray:
+    """The members' flat vectors as the rows of a fresh (M, P) matrix."""
+    return np.stack([params.values for params in members])
+
+
+def forward_stack(spec: MlpSpec, members, x) -> np.ndarray:
+    """Logits of every member, shape (M, rows, output_classes)."""
     x = _check_input(spec, x)
-    layers = _layers_for(spec, params)
-    _, pre_acts = _forward_trace(layers, _views(layers, params.values), x)
+    layers = _layers_for(spec, members)
+    _, pre_acts = _forward_trace(layers, _views(layers, _stack(members)), x)
     logits = pre_acts[-1]
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise NumericsError("non-finite logits in forward pass")
     return logits
 
 
+def forward(spec: MlpSpec, params: ParameterVector, x) -> np.ndarray:
+    """Logits of shape (rows, output_classes)."""
+    return forward_stack(spec, (params,), x)[0]
+
+
 def _softmax_cross_entropy(
     logits: np.ndarray, labels: np.ndarray, rows: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy of already-checked labels, and the softmax rows.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean cross-entropy of already-checked labels per member, and the softmax rows.
 
-    ``rows`` is ``np.arange(len(logits))``. Reductions are called as ufuncs
-    (``np.add.reduce`` for ``.sum()``, a sum over the count for ``.mean()``):
-    the same rounding, without the Python-level wrappers that cost more than
-    the arithmetic at minibatch sizes.
+    ``logits`` is (M, rows, classes) and ``rows`` is ``np.arange(rows)``.
+    Reductions are called as ufuncs (``np.add.reduce`` for ``.sum()``, a sum
+    over the count for ``.mean()``): the same rounding, without the
+    Python-level wrappers that cost more than the arithmetic at minibatch
+    sizes.
     """
-    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    logp = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
-    loss = float(-(np.add.reduce(logp[rows, labels]) / rows.size))
-    if not math.isfinite(loss):
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    logp = shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    # The gathered (M, rows) block comes out column-major; made row-major,
+    # each member's sum runs over contiguous memory, which numpy sums
+    # pairwise, as it sums a single member's 1-D block.
+    picked = np.ascontiguousarray(logp[:, rows, labels])
+    loss = -(np.add.reduce(picked, axis=-1) / rows.size)
+    if not all(map(math.isfinite, loss.tolist())):
         raise NumericsError("non-finite cross-entropy loss")
     return loss, np.exp(logp, out=logp)
 
@@ -447,17 +493,19 @@ def cross_entropy_loss(logits, labels) -> tuple[float, np.ndarray]:
     if logits.ndim != 2:
         raise NumericsError("logits must be 2-D")
     n, c = logits.shape
-    return _softmax_cross_entropy(logits, _check_labels(labels, n, c), np.arange(n))
+    loss, prob = _softmax_cross_entropy(logits[None], _check_labels(labels, n, c), np.arange(n))
+    return float(loss[0]), prob[0]
 
 
-def _loss_and_gradient_into(layers, blocks, x, labels, rows, grad: np.ndarray) -> float:
-    """Mean cross-entropy of one checked batch; its gradient goes into ``grad``."""
+def _loss_and_gradient_into(layers, blocks, x, labels, rows, grad_blocks) -> np.ndarray:
+    """Mean cross-entropy of one checked batch per member; the gradients go
+    into ``grad_blocks``, the ``_views`` of an (M, P) gradient matrix."""
     activations, pre_acts = _forward_trace(layers, blocks, x)
     loss, delta = _softmax_cross_entropy(pre_acts[-1], labels, rows)
     # Output delta of the mean loss: softmax minus one-hot, over the row count.
-    delta[rows, labels] -= 1.0
+    delta[:, rows, labels] -= 1.0
     delta /= rows.size
-    _backprop(layers, blocks, activations, pre_acts, delta, grad, squared=False)
+    _backprop(layers, blocks, activations, pre_acts, delta, grad_blocks, squared=False)
     return loss
 
 
@@ -465,34 +513,37 @@ def loss_and_gradient(spec: MlpSpec, params: ParameterVector, x, labels):
     """Mean cross-entropy loss and its analytic gradient in one pass."""
     x = _check_input(spec, x)
     labels = _check_labels(labels, x.shape[0], spec.output_classes)
-    layers = _layers_for(spec, params)
-    grad = np.empty(params.size)
-    blocks = _views(layers, params.values)
-    loss = _loss_and_gradient_into(layers, blocks, x, labels, np.arange(x.shape[0]), grad)
-    if not np.all(np.isfinite(grad)):
+    layers = _layers_for(spec, (params,))
+    values = params.values[None]  # read, never written
+    grad = np.empty_like(values)
+    loss = _loss_and_gradient_into(
+        layers, _views(layers, values), x, labels, np.arange(x.shape[0]), _views(layers, grad)
+    )
+    if not np.isfinite(grad).all():
         raise NumericsError("non-finite gradient")
-    return loss, params.with_values(grad)
+    return float(loss[0]), params.with_values(grad[0])
 
 
 def score_square_mean(spec: MlpSpec, params: ParameterVector, x, labels) -> np.ndarray:
     """Per-parameter mean of squared per-sample log-likelihood gradients."""
     x = _check_input(spec, x)
     labels = _check_labels(labels, x.shape[0], spec.output_classes)
-    layers = _layers_for(spec, params)
-    blocks = _views(layers, params.values)
+    layers = _layers_for(spec, (params,))
+    values = params.values[None]  # read, never written
+    blocks = _views(layers, values)
     activations, pre_acts = _forward_trace(layers, blocks, x)
     n = x.shape[0]
     rows = np.arange(n)
     _, prob = _softmax_cross_entropy(pre_acts[-1], labels, rows)
     # Per-sample score at the logits: one-hot minus softmax.
     delta = -prob
-    delta[rows, labels] += 1.0
-    acc = np.empty(params.size)
-    _backprop(layers, blocks, activations, pre_acts, delta, acc, squared=True)
+    delta[:, rows, labels] += 1.0
+    acc = np.empty_like(values)
+    _backprop(layers, blocks, activations, pre_acts, delta, _views(layers, acc), squared=True)
     acc /= n
-    if not np.all(np.isfinite(acc)):
+    if not np.isfinite(acc).all():
         raise NumericsError("non-finite score accumulation")
-    return acc
+    return acc[0]
 
 
 def mean_log_likelihood(spec: MlpSpec, params: ParameterVector, x, labels) -> float:
@@ -581,59 +632,74 @@ def optimizer_step(
 
 def train_visit(
     spec: MlpSpec,
-    params: ParameterVector,
-    opt_state: OptimizerState,
+    members,
+    opt_states,
     x,
     labels,
     minibatch_size: int,
     penalty=None,
-) -> tuple[ParameterVector, OptimizerState, float]:
-    """Every minibatch step of one batch visit, fused into one loop.
+) -> tuple[tuple[ParameterVector, ...], tuple[OptimizerState, ...], tuple[float, ...]]:
+    """Every minibatch step of one batch visit, for M members in lockstep.
 
-    Each step runs the forward pass, softmax cross-entropy backprop, the
-    optional penalty term and the optimizer update on buffers private to
-    this call, updated in place. The floating-point operations and their
-    order are those of ``loss_and_gradient`` plus the penalty followed by
-    ``optimizer_step``, so the results are bit-identical to that composition.
+    ``members`` and ``opt_states`` hold one parameter vector and one
+    optimizer state per member; the states share one config and step count.
+    The members are stacked into one (M, P) matrix, and each step runs the
+    forward pass, softmax cross-entropy backprop, the optional penalty and
+    the optimizer update for all of them at once, with batched products, on
+    buffers private to this call, updated in place. Per member, the
+    floating-point operations and their order are those of
+    ``loss_and_gradient`` plus the penalty followed by ``optimizer_step``,
+    so each member's results are bit-identical to that composition.
 
     Input shape and label range are checked once, for the whole batch that
-    every minibatch is sliced from; the cross-entropy loss and the combined
-    gradient must be finite on every step.
+    every minibatch is sliced from; every member's cross-entropy loss and
+    combined gradient must be finite on every step.
 
-    ``penalty(values) -> (value, gradient)`` adds a term of the live flat
-    parameters to each step's loss and gradient; ``None`` trains on plain
-    cross-entropy. Returns fresh parameters, a fresh optimizer state and the
-    mean step loss; the caller's ``params`` and ``opt_state`` are never
-    written.
+    ``penalty`` is ``None`` (plain cross-entropy for every member) or a pair
+    ``(rows, term)``: ``rows`` indexes the penalised members, and
+    ``term(values) -> (value, gradient)`` maps their live (Mp, P) parameter
+    rows to per-member penalty values (Mp,) and gradients (Mp, P). Returns
+    fresh parameters, fresh optimizer states and the mean step loss, one per
+    member; the caller's vectors and states are never written.
     """
     x = _check_input(spec, x)
     n = x.shape[0]
     labels = _check_labels(labels, n, spec.output_classes)
-    layers = _layers_for(spec, params)
-    if opt_state.m.size != params.size:
+    layers = _layers_for(spec, members)
+    cfg, t = opt_states[0].config, opt_states[0].step_count
+    if len(opt_states) != len(members) or any(
+        s.config != cfg or s.step_count != t for s in opt_states
+    ):
+        raise NumericsError("members need optimizer states of one config and step count")
+    if any(s.m.size != params.size for s, params in zip(opt_states, members)):
         raise NumericsError("optimizer state sized for a different model")
-    cfg = opt_state.config
-    values, m, v = params.values.copy(), opt_state.m.copy(), opt_state.v.copy()
-    t = opt_state.step_count
+    values = _stack(members)
+    m = np.stack([s.m for s in opt_states])
+    v = np.stack([s.v for s in opt_states])
     blocks = _views(layers, values)
     grad = np.empty_like(values)
-    all_rows = np.arange(minibatch_size)
+    grad_blocks = _views(layers, grad)
     losses = []
+    all_rows = np.arange(minibatch_size)
+    penalised, term = (None, None) if penalty is None else penalty
     for start in range(0, n, minibatch_size):
         xb = x[start:start + minibatch_size]
         yb = labels[start:start + minibatch_size]
-        loss = _loss_and_gradient_into(layers, blocks, xb, yb, all_rows[:yb.size], grad)
-        if penalty is not None:
-            value, penalty_grad = penalty(values)
-            loss += value
-            grad += penalty_grad
+        loss = _loss_and_gradient_into(layers, blocks, xb, yb, all_rows[:yb.size], grad_blocks)
+        if term is not None:
+            value, penalty_grad = term(values[penalised])
+            loss[penalised] += value
+            grad[penalised] += penalty_grad
         if not np.isfinite(grad).all():
             raise NumericsError("non-finite gradient")
         t += 1
         _optimizer_update(cfg, values, m, v, grad, t)
         losses.append(loss)
+    layout = members[0].layout
     return (
-        ParameterVector(values, params.layout),
-        OptimizerState(cfg, m, v, t),
-        float(np.mean(losses)),
+        tuple(ParameterVector(row, layout) for row in values),
+        tuple(OptimizerState(cfg, m_row, v_row, t) for m_row, v_row in zip(m, v)),
+        # One contiguous row of step losses per member: numpy then sums each
+        # pairwise, as it sums a single member's 1-D list.
+        tuple(np.mean(np.stack(losses, axis=1), axis=1).tolist()),
     )

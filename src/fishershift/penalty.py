@@ -28,6 +28,7 @@ from .numerics import (
     layout_to_json,
     loss_and_gradient,
     params_from_json,
+    read_json,
     write_atomic,
 )
 
@@ -108,44 +109,66 @@ def absorb_batch(
     return PenaltyState(accumulated=merged, batches_consumed=state.batches_consumed + 1)
 
 
-def penalty_term(state: PenaltyState, cfg: PenaltyConfig, params: ParameterVector):
-    """The penalty as a function of flat parameter values, or ``None``.
+def penalty_term(states, cfgs, members):
+    """The penalties of a stack of members as one function, or ``None``.
 
-    ``None`` when the penalty is off (``lam = 0`` or an empty state), so
-    training runs on plain cross-entropy. Otherwise a function
-    ``term(values) -> (value, gradient)`` with ``params``' layout, as
-    ``numerics.train_visit`` takes it; the state cannot change within a
-    visit, so the layout check and the constant factors are settled here
-    once.
+    ``states``, ``cfgs`` and ``members`` hold one penalty state, config and
+    parameter vector per member. A member pays no penalty when its
+    ``lam = 0`` or its state is empty, so it trains on plain cross-entropy;
+    ``None`` when no member pays one. Otherwise a pair ``(rows, term)``, as
+    ``numerics.train_visit`` takes it: ``rows`` indexes the penalised
+    members (a slice when they are contiguous) and ``term(values) ->
+    (value, gradient)`` evaluates every penalised member at once from their
+    (Mp, P) parameter rows. The states cannot change within a visit, so the
+    layout checks and the constant factors are settled here once.
     """
-    if cfg.lam == 0.0 or state.is_empty:
+    penalised = [
+        i for i, (state, cfg) in enumerate(zip(states, cfgs))
+        if cfg.lam != 0.0 and not state.is_empty
+    ]
+    if not penalised:
         return None
-    acc = state.accumulated
-    if not acc.anchor.same_layout(params):
-        raise PenaltyError("parameter layout does not match the penalty state")
-    anchor, diagonal = acc.anchor.values, acc.diagonal
-    half_lam, lam_diagonal = 0.5 * cfg.lam, cfg.lam * diagonal
+    for i in penalised:
+        if not states[i].accumulated.anchor.same_layout(members[i]):
+            raise PenaltyError("parameter layout does not match the penalty state")
+    accumulated = [states[i].accumulated for i in penalised]
+    lams = [cfgs[i].lam for i in penalised]
+    anchor = np.stack([acc.anchor.values for acc in accumulated])
+    diagonal = np.stack([acc.diagonal for acc in accumulated])
+    half_lam = np.array([0.5 * lam for lam in lams])
+    lam_diagonal = np.stack([lam * acc.diagonal for lam, acc in zip(lams, accumulated)])
 
     def quadratic(values):
         shift = values - anchor
         # np.add.reduce: np.sum's rounding without its Python wrapper.
-        return float(half_lam * np.add.reduce(diagonal * shift**2)), lam_diagonal * shift
+        return half_lam * np.add.reduce(diagonal * shift**2, axis=-1), lam_diagonal * shift
 
-    return quadratic
+    first, last = penalised[0], penalised[-1]
+    contiguous = last - first + 1 == len(penalised)
+    return (slice(first, last + 1) if contiguous else np.array(penalised)), quadratic
+
+
+def _single_term(state: PenaltyState, params: ParameterVector, cfg: PenaltyConfig):
+    """The penalty value and gradient of one member, or ``None`` when it is off."""
+    term = penalty_term((state,), (cfg,), (params,))
+    if term is None:
+        return None
+    value, grad = term[1](params.values[None])
+    return float(value[0]), grad[0]
 
 
 def penalty_value(state: PenaltyState, params: ParameterVector, cfg: PenaltyConfig) -> float:
     """Penalty for the current parameters given the accumulated state."""
-    term = penalty_term(state, cfg, params)
-    return 0.0 if term is None else term(params.values)[0]
+    term = _single_term(state, params, cfg)
+    return 0.0 if term is None else term[0]
 
 
 def penalty_gradient(
     state: PenaltyState, params: ParameterVector, cfg: PenaltyConfig
 ) -> np.ndarray:
     """Analytic gradient of ``penalty_value`` with respect to the parameters."""
-    term = penalty_term(state, cfg, params)
-    return np.zeros_like(params.values) if term is None else term(params.values)[1]
+    term = _single_term(state, params, cfg)
+    return np.zeros_like(params.values) if term is None else term[1]
 
 
 def penalized_loss_and_grad(
@@ -162,10 +185,10 @@ def penalized_loss_and_grad(
     untouched, so penalised and plain training trajectories stay bit-identical.
     """
     ce_loss, ce_grad = loss_and_gradient(spec, params, x, labels)
-    term = penalty_term(state, cfg, params)
+    term = _single_term(state, params, cfg)
     if term is None:
         return ce_loss, ce_grad
-    pen, pgrad = term(params.values)
+    pen, pgrad = term
     return ce_loss + pen, ce_grad.with_values(ce_grad.values + pgrad)
 
 
@@ -209,5 +232,6 @@ def save_state(state: PenaltyState, path) -> None:
 
 
 def load_state(path) -> PenaltyState:
-    with open(path, "r", encoding="utf-8") as fh:
-        return state_from_dict(json.load(fh))
+    """Read a snapshot written by ``save_state``; a file that is not a valid
+    snapshot raises PenaltyError."""
+    return state_from_dict(read_json(path, PenaltyError))

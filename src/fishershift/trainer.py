@@ -8,15 +8,21 @@ parameters with the penalty forced off, ``cv_independent`` re-initialises the
 model from the seed before every batch.
 
 Within a run everything is strictly sequential; information only ever flows
-from earlier batches to later ones. Each visit's minibatch steps run in one
-fused kernel (``numerics.train_visit``) on buffers private to the visit; the
-parameters it hands back are a fresh ``ParameterVector`` that the Fisher
-estimate, the penalty anchor, evaluation and the trace all share, and that
-nothing writes to afterwards.
+from earlier batches to later ones. The one training loop steps a stack of
+members: runs that differ only in mode (``c3`` or ``cv_sequential``) and
+penalty strength share the initialisation, the optimizer and the minibatch
+order, so ``train_members`` trains them in lockstep, each visit's minibatch
+steps for all of them in one ``numerics.train_visit`` call, and evaluates
+them in one stacked forward pass. Each member's trace is bit-identical to
+its own ``shift_correction`` run, which is the one-member case.
+``train_visit`` works on buffers private to the visit; the parameters it
+hands back are fresh ``ParameterVector``s that the Fisher estimate, the
+penalty anchor, evaluation and the trace all share, and that nothing writes
+to afterwards.
 
-The baselines do not depend on the penalty strength, so a lambda sweep
-(``bench``) trains them once per (split, repetition) and shares them across
-its lambda rows.
+A lambda sweep (``bench``) trains ``cv_independent`` alone and
+``cv_sequential`` with every ``c3`` lambda as one stack, once per (split,
+repetition), and shares the baselines across its lambda rows.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .numerics import (
     ParameterVector,
     check_version,
     fields_from_json,
-    forward,
+    forward_stack,
     init_optimizer_state,
     init_params,
     json_field,
@@ -161,13 +167,18 @@ class RunTrace:
         return cls(records=tuple(records), final_params=params)
 
 
-def evaluate(spec: MlpSpec, params: ParameterVector, dataset: Dataset) -> float:
-    """Fraction of argmax-correct predictions; ties resolve to the lowest class."""
+def _evaluate_stack(spec: MlpSpec, members, dataset: Dataset) -> list[float]:
+    """Each member's fraction of argmax-correct predictions, from one stacked
+    forward pass; ties resolve to the lowest class."""
     if dataset.n < 1:
         raise TrainerError("cannot evaluate on an empty dataset")
-    logits = forward(spec, params, dataset.features)
-    predictions = np.argmax(logits, axis=1)
-    return float(np.mean(predictions == dataset.labels))
+    predictions = np.argmax(forward_stack(spec, members, dataset.features), axis=-1)
+    return np.mean(predictions == dataset.labels, axis=-1).tolist()
+
+
+def evaluate(spec: MlpSpec, params: ParameterVector, dataset: Dataset) -> float:
+    """Fraction of argmax-correct predictions; ties resolve to the lowest class."""
+    return _evaluate_stack(spec, (params,), dataset)[0]
 
 
 def kl_diagnostic_matrix(dataset: Dataset, plan: FragmentationPlan) -> np.ndarray:
@@ -209,18 +220,15 @@ def shift_correction(
     rejects them.
 
     ``cv_independent`` visits batch-major (every epoch of batch 0, then of
-    batch 1, ...); the other modes visit epoch-major.
+    batch 1, ...); the other modes visit epoch-major. This is the one-member
+    case of ``train_members``.
     """
-    independent = cfg.baseline_mode == "cv_independent"
     resume = (initial_params, initial_penalty_state, initial_optimizer_state)
-    if independent and any(value is not None for value in resume):
+    if cfg.baseline_mode == "cv_independent" and any(value is not None for value in resume):
         raise TrainerError(
             "cv_independent re-initialises the model before every batch; "
             "it cannot resume from initial_* state"
         )
-    penalize = cfg.baseline_mode == "c3"
-    pcfg = cfg.penalty if penalize else replace(cfg.penalty, lam=0.0)
-
     params = initial_params if initial_params is not None else init_params(spec, cfg.seed)
     opt_state = (
         initial_optimizer_state
@@ -228,6 +236,60 @@ def shift_correction(
         else init_optimizer_state(cfg.optimizer, params.size)
     )
     state = initial_penalty_state if initial_penalty_state is not None else PenaltyState.empty()
+    hook = None if batch_hook is None else (lambda epoch, i, members: batch_hook(epoch, i, members[0]))
+    (trace,) = _train(dataset, validation, plan, spec, (cfg,), params, opt_state, state, hook)
+    return trace
+
+
+def train_members(
+    dataset: Dataset,
+    validation: Dataset,
+    plan: FragmentationPlan,
+    spec: MlpSpec,
+    cfgs,
+) -> tuple[RunTrace, ...]:
+    """Train several runs in lockstep, as one stack; one trace per config.
+
+    The configs may differ only in ``baseline_mode`` (``c3`` or
+    ``cv_sequential``) and ``penalty.lam``, so the runs share the seeded
+    initialisation, the optimizer and the minibatch order, and every step of
+    every member goes through one ``numerics.train_visit`` call. Each trace
+    is bit-identical to the member's own ``shift_correction`` run.
+    ``cv_independent`` re-initialises before every batch and visits
+    batch-major, so it trains alone.
+    """
+    cfgs = tuple(cfgs)
+    if not cfgs:
+        raise TrainerError("train_members needs at least one config")
+    first = cfgs[0]
+    if len(cfgs) > 1 and any(cfg.baseline_mode == "cv_independent" for cfg in cfgs):
+        raise TrainerError("cv_independent trains alone, not in a stack")
+    for cfg in cfgs:
+        shared = replace(cfg, baseline_mode=first.baseline_mode,
+                         penalty=replace(cfg.penalty, lam=first.penalty.lam))
+        if shared != first:
+            raise TrainerError("stacked configs may differ only in baseline_mode and penalty.lam")
+    params = init_params(spec, first.seed)
+    opt_state = init_optimizer_state(first.optimizer, params.size)
+    return _train(dataset, validation, plan, spec, cfgs, params, opt_state,
+                  PenaltyState.empty(), None)
+
+
+def _train(dataset, validation, plan, spec, cfgs, params, opt_state, state, batch_hook):
+    """The one training loop: the members of ``cfgs``, which agree on all but
+    mode and lambda, start from ``params``, ``opt_state`` and ``state`` and
+    step together. ``batch_hook(epoch, batch_index, members)`` gets every
+    member's parameters after each visit."""
+    first = cfgs[0]
+    independent = first.baseline_mode == "cv_independent"
+    penalise = [m for m, cfg in enumerate(cfgs) if cfg.baseline_mode == "c3"]
+    pcfgs = [
+        cfg.penalty if cfg.baseline_mode == "c3" else replace(cfg.penalty, lam=0.0)
+        for cfg in cfgs
+    ]
+    members = (params,) * len(cfgs)
+    opt_states = (opt_state,) * len(cfgs)
+    states = [state] * len(cfgs)
 
     k = plan.batch_count
     moments = [batch_moments(dataset, plan, i) for i in range(k)]
@@ -235,41 +297,49 @@ def shift_correction(
         tuple(gaussian_kl(moments[i], moments[j]) for j in range(i)) for i in range(k)
     ]
 
-    epochs = range(1, cfg.epochs + 1)
+    epochs = range(1, first.epochs + 1)
     if independent:
         visits = [(epoch, i) for i in range(k) for epoch in epochs]
     else:
         visits = [(epoch, i) for epoch in epochs for i in range(k)]
 
-    records = []
+    records = [[] for _ in cfgs]
     for epoch, i in visits:
         if independent and epoch == 1:
-            params = init_params(spec, cfg.seed)
-            opt_state = init_optimizer_state(cfg.optimizer, params.size)
-        if cfg.reset_state_each_epoch and epoch > 1 and i == 0:
-            state = PenaltyState.empty()
+            members = (init_params(spec, first.seed),)
+            opt_states = (init_optimizer_state(first.optimizer, members[0].size),)
+        if first.reset_state_each_epoch and epoch > 1 and i == 0:
+            states = [PenaltyState.empty()] * len(cfgs)
         x, y = dataset.rows(plan.batch_indices(i))
-        params, opt_state, mean_loss = train_visit(
-            spec, params, opt_state, x, y, cfg.minibatch_size,
-            penalty_term(state, pcfg, params),
+        members, opt_states, mean_losses = train_visit(
+            spec, members, opt_states, x, y, first.minibatch_size,
+            penalty_term(states, pcfgs, members),
         )
-        if penalize:
-            fisher = empirical_fisher_diagonal(spec, params, x, y)
-            state = absorb_batch(state, fisher, params, pcfg)
-        records.append(
-            BatchRecord(
-                epoch=epoch,
-                batch_index=i,
-                validation_accuracy=evaluate(spec, params, validation),
-                mean_loss=mean_loss,
-                kl_to_earlier=kl_back[i],
+        # One Fisher pass per penalised member: on a whole batch, stacked
+        # passes save no time, so only the minibatch steps run stacked.
+        for m in penalise:
+            fisher = empirical_fisher_diagonal(spec, members[m], x, y)
+            states[m] = absorb_batch(states[m], fisher, members[m], pcfgs[m])
+        accuracies = _evaluate_stack(spec, members, validation)
+        for member_records, accuracy, mean_loss in zip(records, accuracies, mean_losses):
+            member_records.append(
+                BatchRecord(
+                    epoch=epoch,
+                    batch_index=i,
+                    validation_accuracy=accuracy,
+                    mean_loss=mean_loss,
+                    kl_to_earlier=kl_back[i],
+                )
             )
-        )
         if batch_hook is not None:
-            batch_hook(epoch, i, params)
-    return RunTrace(
-        records=tuple(records),
-        final_params=params,
-        final_penalty_state=state,
-        final_optimizer_state=opt_state,
+            batch_hook(epoch, i, members)
+    return tuple(
+        RunTrace(
+            records=tuple(member_records),
+            final_params=final,
+            final_penalty_state=member_state,
+            final_optimizer_state=member_opt,
+        )
+        for member_records, final, member_state, member_opt
+        in zip(records, members, states, opt_states)
     )

@@ -5,6 +5,7 @@ lines as they complete. Exact-math criteria run at tight tolerances; the
 directional benchmark criteria run the stock drift scenario end to end.
 """
 
+import hashlib
 import itertools
 import os
 import struct
@@ -281,6 +282,9 @@ def test_criterion_07_directional_batchwise_trend():
     assert ok
 
 
+CRITERION_08_REPORT_SHA256 = "5b5dc25be909e4e25f87f4b6f721e4de7d30321e54130c8c2d1ad389ba95c748"
+
+
 def test_criterion_08_lambda_sweep_shape():
     started = time.monotonic()
     spec = tabular_spec(10)
@@ -292,14 +296,18 @@ def test_criterion_08_lambda_sweep_shape():
     )
     verify_report(report)
     best_lam, best_acc = max(series, key=lambda point: point[1])
+    # The same sweep is the benchmark's sweep_drift2 operation at seed 0; its
+    # report bytes are pinned there too (perfbench/golden.json).
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
     elapsed = time.monotonic() - started
-    ok = best_lam == 0.1
+    ok = best_lam == 0.1 and digest == CRITERION_08_REPORT_SHA256
     report_line(
         8, ok,
         "grid " + ", ".join(f"{lam:g}:{acc:.2f}" for lam, acc in series)
-        + f"; best lambda = {best_lam:g}, {elapsed:.0f}s",
+        + f"; best lambda = {best_lam:g}; report sha256 {digest[:16]}, {elapsed:.0f}s",
     )
     assert best_lam == 0.1
+    assert digest == CRITERION_08_REPORT_SHA256
 
 
 def test_criterion_09_report_integrity():

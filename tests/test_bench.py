@@ -257,15 +257,22 @@ class TestSharedBaselines:
     LAMBDAS = (0.0, 0.05, 0.1)
 
     def count_trainings(self, monkeypatch):
-        configs = []
-        real = bench.shift_correction
+        """The configs of each training call: one for ``shift_correction``,
+        one per member for a stacked ``train_members``."""
+        calls = []
+        real_single, real_stack = bench.shift_correction, bench.train_members
 
-        def counting(*args, **kwargs):
-            configs.append(args[4])
-            return real(*args, **kwargs)
+        def single(*args, **kwargs):
+            calls.append((args[4],))
+            return real_single(*args, **kwargs)
 
-        monkeypatch.setattr(bench, "shift_correction", counting)
-        return configs
+        def stacked(*args, **kwargs):
+            calls.append(tuple(args[4]))
+            return real_stack(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "shift_correction", single)
+        monkeypatch.setattr(bench, "train_members", stacked)
+        return calls
 
     @pytest.mark.parametrize(
         "proto, units",
@@ -276,12 +283,16 @@ class TestSharedBaselines:
         ids=["batchwise", "foldwise"],
     )
     def test_one_training_per_distinct_run(self, monkeypatch, proto, units):
-        configs = self.count_trainings(monkeypatch)
+        calls = self.count_trainings(monkeypatch)
         cfg = small_config()
         report, _ = lambda_sweep(
             RECIPE, self.LAMBDAS, proto, cfg, tabular_spec(4), samples=400
         )
-        # Per (split or fold rotation, repetition): both baselines, one c3 per lambda.
+        # Per (split or fold rotation, repetition): cv_independent alone, then
+        # cv_sequential and one c3 per lambda as one stack.
+        assert len(calls) == proto.repetitions * units * 2
+        assert [len(call) for call in calls[:2]] == [1, len(self.LAMBDAS) + 1]
+        configs = [cfg for call in calls for cfg in call]
         assert len(configs) == proto.repetitions * units * (len(self.LAMBDAS) + 2)
         monkeypatch.undo()
 
@@ -297,11 +308,12 @@ class TestSharedBaselines:
                 assert a.to_json_dict() == b.to_json_dict()
 
     def test_duplicate_lambdas_train_once(self, monkeypatch):
-        configs = self.count_trainings(monkeypatch)
+        calls = self.count_trainings(monkeypatch)
         lambda_sweep(
             RECIPE, (0.1, 0.1), small_protocol(repetitions=1), small_config(), tabular_spec(4),
             samples=400,
         )
+        configs = [cfg for call in calls for cfg in call]
         assert len(configs) == 1 * 1 * (1 + 2)
         assert len(set(configs)) == len(configs)
 

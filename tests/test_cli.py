@@ -189,6 +189,18 @@ def test_malformed_recipe_exits_1_with_one_line(command, recipe, message, tmp_pa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, flag", [("train", "--synth"), ("synth", "--recipe"),
+                                           ("sweep", "--synth"), ("report", "--in")])
+def test_input_that_is_not_json_exits_1_with_one_line(command, flag, tmp_path, capsys):
+    path = tmp_path / "garbage.json"
+    path.write_text("garbage")
+    argv = [command, flag, str(path)] + ([] if command == "report" else ["--out", str(tmp_path / "out")])
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not valid JSON (") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_shuffle_auto_keeps_recipe_order_and_shuffles_datasets(recipe_path, tmp_path):
     runs = {
         "train-recipe": ["train", "--synth", recipe_path, "--samples-per-batch", "60"],
@@ -277,6 +289,8 @@ class TestHelp:
         assert exc.value.code == 0
         text = capsys.readouterr().out
         assert "default" in text
+        # A default that is None is computed elsewhere; the help says how.
+        assert "(default: None)" not in text
 
     def test_documented_defaults(self, capsys):
         for sub, token in (("train", "0.1"), ("train", "10"), ("train", "32"),

@@ -1,4 +1,5 @@
-"""Malformed snapshot and trace payloads fail with their module's own error.
+"""Malformed snapshot and trace payloads, and input files that are not JSON,
+fail with their module's own error.
 
 The payloads come from seeded runs. Each mutation makes one invalid: drop
 any key at any depth, swap any value for one of a wrong type (the seed picks
@@ -9,9 +10,10 @@ A mutation that parses, or fails another way, fails the test.
 import numpy as np
 import pytest
 
-from fishershift.data import ShiftRecipe, fragment, synth_shift
+from fishershift.bench import BenchError, ExperimentReport
+from fishershift.data import DataError, ShiftRecipe, fragment, synth_shift
 from fishershift.numerics import MlpSpec
-from fishershift.penalty import PenaltyError, state_from_dict, state_to_dict
+from fishershift.penalty import PenaltyError, load_state, state_from_dict, state_to_dict
 from fishershift.trainer import RunTrace, TrainConfig, TrainerError, shift_correction
 
 SPEC = MlpSpec(input_dim=3, hidden_layers=((2, "relu"),), output_classes=2)
@@ -75,3 +77,19 @@ def test_every_mutation_raises_the_module_error(seed, kind, parse, error, keep_l
 def test_partial_payload_rejected(parse, error, payload, message):
     with pytest.raises(error, match=message):
         parse(payload)
+
+
+@pytest.mark.parametrize(
+    "read, error",
+    [(load_state, PenaltyError),
+     (ShiftRecipe.from_json_file, DataError),
+     (lambda path: ExperimentReport.from_json(path.read_bytes()), BenchError)],
+    ids=["snapshot", "recipe", "report"],
+)
+@pytest.mark.parametrize("content", [b"garbage", b"\x80 not unicode"], ids=["garbage", "bytes"])
+def test_file_that_is_not_json_raises_the_module_error(read, error, content, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    with pytest.raises(error, match="not valid JSON") as exc:
+        read(path)
+    assert "\n" not in str(exc.value)

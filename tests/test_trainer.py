@@ -28,6 +28,7 @@ from fishershift.trainer import (
     evaluate,
     kl_diagnostic_matrix,
     shift_correction,
+    train_members,
 )
 
 SPEC = MlpSpec(input_dim=4, hidden_layers=((4, "relu"),), output_classes=2)
@@ -273,6 +274,81 @@ class TestIndependentBaseline:
         cfg = quick_config(baseline_mode="cv_independent")
         with pytest.raises(TrainerError, match="initial_"):
             shift_correction(train, val, plan, SPEC, cfg, **{initial: values[initial]})
+
+
+def member_configs(**kw):
+    """cv_sequential and c3 at three lambdas: the members of one sweep stack."""
+    base = quick_config(epochs=3, **kw)
+    return [replace(base, baseline_mode="cv_sequential")] + [
+        replace(base, penalty=replace(base.penalty, lam=lam)) for lam in (0.0, 0.05, 0.1)
+    ]
+
+
+def assert_same_run(got, want):
+    assert got.records == want.records
+    assert np.array_equal(got.final_params.values, want.final_params.values)
+    assert got.final_params.layout == want.final_params.layout
+    opt, want_opt = got.final_optimizer_state, want.final_optimizer_state
+    assert opt.step_count == want_opt.step_count and opt.config == want_opt.config
+    assert np.array_equal(opt.m, want_opt.m) and np.array_equal(opt.v, want_opt.v)
+    state, want_state = got.final_penalty_state, want.final_penalty_state
+    assert state.batches_consumed == want_state.batches_consumed
+    if not want_state.is_empty:
+        acc, want_acc = state.accumulated, want_state.accumulated
+        assert np.array_equal(acc.diagonal, want_acc.diagonal)
+        assert np.array_equal(acc.anchor.values, want_acc.anchor.values)
+        assert acc.sample_count == want_acc.sample_count
+
+
+class TestStackedMembers:
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(penalty=PenaltyConfig(accumulation="sum")),
+         dict(penalty=PenaltyConfig(accumulation="mean")),
+         dict(reset_state_each_epoch=True)],
+        ids=["sum", "mean", "reset_each_epoch"],
+    )
+    def test_each_member_equals_its_own_run_bitwise(self, kw):
+        train, val, plan = drift_setup(k=3, n_per_batch=80)
+        cfgs = member_configs(**kw)
+        stacked = train_members(train, val, plan, SPEC, cfgs)
+        assert len(stacked) == len(cfgs)
+        for got, cfg in zip(stacked, cfgs):
+            assert_same_run(got, shift_correction(train, val, plan, SPEC, cfg))
+        # The lambda-0 member is the cv_sequential run, and the lambdas matter.
+        assert stacked[1].records == stacked[0].records
+        assert not np.array_equal(stacked[3].final_params.values, stacked[0].final_params.values)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [(dict(epochs=2), "differ only"),
+         (dict(seed=1), "differ only"),
+         (dict(optimizer=OptimizerConfig(learning_rate=0.5)), "differ only"),
+         (dict(penalty=PenaltyConfig(accumulation="mean")), "differ only"),
+         (dict(reset_state_each_epoch=True), "differ only"),
+         (dict(baseline_mode="cv_independent"), "trains alone")],
+        ids=["epochs", "seed", "optimizer", "accumulation", "reset", "cv_independent"],
+    )
+    def test_members_may_differ_only_in_mode_and_lambda(self, change, message):
+        train, val, plan = drift_setup(k=2, n_per_batch=60)
+        cfgs = member_configs()
+        with pytest.raises(TrainerError, match=message):
+            train_members(train, val, plan, SPEC, cfgs + [replace(cfgs[0], **change)])
+
+    def test_empty_stack_rejected(self):
+        train, val, plan = drift_setup(k=2, n_per_batch=60)
+        with pytest.raises(TrainerError, match="at least one"):
+            train_members(train, val, plan, SPEC, [])
+
+    def test_one_diverging_member_raises_numerics_error(self):
+        train, val, plan = drift_setup(k=2, n_per_batch=60)
+        cfgs = member_configs(optimizer=OptimizerConfig(kind="sgd", learning_rate=0.1))
+        diverging = replace(cfgs[-1], penalty=PenaltyConfig(lam=1e300))
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericsError, match="non-finite"):
+                shift_correction(train, val, plan, SPEC, diverging)
+            with pytest.raises(NumericsError, match="non-finite"):
+                train_members(train, val, plan, SPEC, cfgs[:-1] + [diverging])
 
 
 class TestNonFiniteTraining:
