@@ -4,11 +4,12 @@ A protocol names a list of batchwise splits (training fraction, batch count)
 or a foldwise fold count, and a sweep adds a grid of penalty strengths. The
 unit of work is one (split, repetition), seeded by hashing the split
 configuration: it materialises the data, the validation split and the plan
-once, trains ``cv_independent`` once, then ``cv_sequential`` and the
-penalised trainer at every distinct lambda once each, together as one
-stack (``trainer.train_members``): the baselines do not depend on lambda,
-and the stacked runs differ only in mode and lambda. Every lambda row of
-the split shares the baseline outcomes, averaged over repetitions.
+once (``batchwise_split``, as ``train`` does), trains ``cv_independent``
+once, then ``cv_sequential`` and the penalised trainer at every distinct
+lambda once each, together as one stack (``trainer.train_members``): the
+baselines do not depend on lambda, and the stacked runs differ only in mode
+and lambda. Every lambda row of the split shares the baseline outcomes,
+averaged over repetitions.
 A time budget is checked before each split, and an exhausted budget skips
 the whole split: all of its lambda rows. Reports store the raw per-batch
 accuracy columns next to every derived statistic so a verifier can recompute
@@ -42,6 +43,7 @@ from .data import (
 from .numerics import (
     MlpSpec,
     OptimizerConfig,
+    canonical_json,
     check_version,
     fields_from_json,
     json_field,
@@ -69,7 +71,6 @@ class ProtocolSpec:
     mode: str = "batchwise"
     splits: tuple[tuple[float, int], ...] = BATCHWISE_GRID
     folds: int = 5
-    lambda_grid: tuple[float, ...] = LAMBDA_GRID
     repetitions: int = 5
     validation_fraction: float = 0.2
     shuffle: bool | None = None
@@ -82,8 +83,6 @@ class ProtocolSpec:
             raise BenchError("repetitions must be >= 1")
         if self.mode == "foldwise" and self.folds < 2:
             raise BenchError("foldwise mode needs at least 2 folds")
-        if any(lam < 0 for lam in self.lambda_grid):
-            raise BenchError("lambda grid values must be >= 0")
         if len(set(self.splits)) != len(self.splits):
             raise BenchError("splits must be distinct")
         for fraction, k in self.splits:
@@ -157,7 +156,7 @@ class ExperimentReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return canonical_json(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ExperimentReport":
@@ -220,13 +219,30 @@ def _config_hash(cell_key: str, train_cfg: TrainConfig, spec: MlpSpec) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def _materialise(source, k: int, samples: int, seed: int) -> Dataset:
+def _materialise(source, k: int, samples_per_batch: int, seed: int) -> Dataset:
     if isinstance(source, ShiftRecipe):
         recipe = replace(source, batch_count=k)
-        return synth_shift(recipe, max(2, samples // k), seed=seed)[0]
+        return synth_shift(recipe, samples_per_batch, seed=seed)[0]
     if isinstance(source, Dataset):
         return source
     raise BenchError(f"unsupported data source {type(source).__name__}")
+
+
+def batchwise_split(
+    source, k: int, samples_per_batch: int, validation_fraction: float,
+    shuffle: bool | None, seed: int,
+) -> tuple[Dataset, Dataset, FragmentationPlan]:
+    """(train, validation, plan) of one batchwise run: ``source`` (a recipe
+    drawn as ``k`` batches of ``samples_per_batch`` rows, or a dataset) loses
+    a seeded holdout, and the rest becomes ``k`` ordered batches."""
+    dataset = _materialise(source, k, samples_per_batch, seed)
+    train, val, train_idx, val_idx = train_validation_split(
+        dataset, validation_fraction, seed=seed
+    )
+    if np.intersect1d(train_idx, val_idx).size:
+        raise BenchError("validation rows overlap the training rows")
+    plan = fragment(train, k, seed=seed, shuffle=shuffle_rows(source, shuffle))
+    return train, val, plan
 
 
 def _accuracies(trace) -> tuple[list[float], float]:
@@ -265,20 +281,14 @@ def _run_split_rep(args) -> list[dict]:
     the fold rotations. Returns one outcome per entry of ``lambdas``.
     """
     (source, proto, train_cfg, spec, k, lambdas, seed, samples) = args
-    stages = k if proto.mode == "batchwise" else proto.folds
-    dataset = _materialise(source, stages, samples, seed)
-    shuffle = shuffle_rows(source, proto.shuffle)
-
     if proto.mode == "batchwise":
-        train, val, train_idx, val_idx = train_validation_split(
-            dataset, proto.validation_fraction, seed=seed
+        train, val, plan = batchwise_split(
+            source, k, max(2, samples // k), proto.validation_fraction, proto.shuffle, seed
         )
-        if np.intersect1d(train_idx, val_idx).size:
-            raise BenchError("validation rows overlap the training rows")
-        plan = fragment(train, k, seed=seed, shuffle=shuffle)
         return _train_split(train, val, plan, spec, train_cfg, seed, lambdas)
 
-    folds = fragment(dataset, proto.folds, seed=seed, shuffle=shuffle)
+    dataset = _materialise(source, proto.folds, max(2, samples // proto.folds), seed)
+    folds = fragment(dataset, proto.folds, seed=seed, shuffle=shuffle_rows(source, proto.shuffle))
     rotations = []
     for rot in range(proto.folds):
         val = dataset.subset(folds.batch_indices(rot))
@@ -443,7 +453,7 @@ def lambda_sweep(
     jobs: int = 1,
 ) -> tuple[ExperimentReport, tuple[tuple[float, float], ...]]:
     """One report row per (split, lambda); returns the (lambda, accuracy) series."""
-    values = tuple(proto.lambda_grid if values is None else values)
+    values = tuple(LAMBDA_GRID if values is None else values)
     if not values:
         raise BenchError("lambda sweep needs at least one value")
     if any(v < 0 for v in values):

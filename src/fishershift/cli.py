@@ -9,10 +9,8 @@ message; runtime failures exit with status 1 and a diagnostic.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -20,6 +18,7 @@ from .bench import (
     LAMBDA_GRID,
     BenchError,
     ProtocolSpec,
+    batchwise_split,
     emit_report,
     emit_series_csv,
     ExperimentReport,
@@ -30,12 +29,9 @@ from .data import (
     DataError,
     Dataset,
     ShiftRecipe,
-    fragment,
     load_csv,
     load_idx,
-    shuffle_rows,
     synth_shift,
-    train_validation_split,
     write_csv,
 )
 from .information import InformationError
@@ -45,6 +41,7 @@ from .numerics import (
     MlpSpec,
     NumericsError,
     OptimizerConfig,
+    canonical_json,
     read_json,
     write_atomic,
 )
@@ -169,20 +166,14 @@ def cmd_train(args, parser) -> int:
     validate_common(args, parser)
     source = resolve_source(args, parser)
 
-    if isinstance(source, ShiftRecipe):
-        k = args.batches if args.batches is not None else source.batch_count
-        recipe = replace(source, batch_count=k)
-        dataset, _ = synth_shift(recipe, args.samples_per_batch, seed=args.seed)
-    else:
-        dataset = source
-        k = args.batches if args.batches is not None else 5
-
-    train, validation, train_idx, val_idx = train_validation_split(
-        dataset, args.val_fraction, seed=args.seed
+    k = args.batches
+    if k is None:
+        k = source.batch_count if isinstance(source, ShiftRecipe) else 5
+    train, validation, plan = batchwise_split(
+        source, k, args.samples_per_batch, args.val_fraction,
+        SHUFFLE_CHOICES[args.shuffle], args.seed,
     )
-    shuffle = shuffle_rows(source, SHUFFLE_CHOICES[args.shuffle])
-    plan = fragment(train, k, seed=args.seed, shuffle=shuffle)
-    spec = model_spec(args, dataset.dim, dataset.class_count)
+    spec = model_spec(args, train.dim, train.class_count)
     cfg = train_config(args, args.baseline)
     trace = shift_correction(train, validation, plan, spec, cfg)
     write_atomic(args.out, trace.to_json())
@@ -249,7 +240,7 @@ def cmd_synth(args, parser) -> int:
         "rows": dataset.n,
         "batch_sizes": list(plan.batch_sizes()),
     }
-    write_atomic(args.out + ".meta.json", json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    write_atomic(args.out + ".meta.json", canonical_json(meta))
     print(f"wrote {args.out} ({dataset.n} rows, {recipe.batch_count} ordered batches)")
     return 0
 

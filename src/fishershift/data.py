@@ -1,8 +1,9 @@
 """Dataset ingestion, causal fragmentation, and synthetic drift generators.
 
-Datasets are immutable (features, labels) pairs. A fragmentation plan is an
-ordered partition into near-equal batches; the batch order is fixed at plan
-creation and never re-sorted, which is what makes the batch sequence causal.
+Datasets are immutable (features, labels, class count) triples; a written
+CSV always has a header row. A fragmentation plan is an ordered partition
+into near-equal batches; the batch order is fixed at plan creation and never
+re-sorted, which is what makes the batch sequence causal.
 Synthetic recipes produce Gaussian-mixture classification data whose feature
 distribution drifts batch by batch while the label rule stays tied to the
 generative class.
@@ -41,7 +42,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     class_count: int
-    provenance: str = ""
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.float64)
@@ -70,13 +70,8 @@ class Dataset:
     def rows(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.features[indices], self.labels[indices]
 
-    def subset(self, indices: np.ndarray, provenance: str = "") -> "Dataset":
-        return Dataset(
-            self.features[indices],
-            self.labels[indices],
-            self.class_count,
-            provenance or self.provenance,
-        )
+    def subset(self, indices: np.ndarray) -> "Dataset":
+        return Dataset(self.features[indices], self.labels[indices], self.class_count)
 
 
 @dataclass(frozen=True)
@@ -271,12 +266,7 @@ def synth_shift(recipe: ShiftRecipe, n_per_batch: int, seed: int) -> tuple[Datas
         features.append(x)
         labels.append(y)
     all_labels, class_count = _canonical_labels(np.concatenate(labels))
-    dataset = Dataset(
-        np.vstack(features),
-        all_labels,
-        class_count,
-        provenance=f"synth:{recipe.kind}",
-    )
+    dataset = Dataset(np.vstack(features), all_labels, class_count)
     plan = fragment(dataset, recipe.batch_count, seed=seed, shuffle=False)
     return dataset, plan
 
@@ -325,16 +315,15 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
             col += 1
 
     labels, class_count = _canonical_labels(np.array(raw_labels))
-    return Dataset(features, labels, class_count, provenance=f"csv:{path}")
+    return Dataset(features, labels, class_count)
 
 
-def write_csv(dataset: Dataset, path, header: bool = True) -> None:
-    """Write features plus a trailing label column, atomically; floats keep
-    full precision."""
+def write_csv(dataset: Dataset, path) -> None:
+    """Write a header row, then features plus a trailing label column, atomically;
+    floats keep full precision."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    if header:
-        writer.writerow([f"feature_{j}" for j in range(dataset.dim)] + ["label"])
+    writer.writerow([f"feature_{j}" for j in range(dataset.dim)] + ["label"])
     for i in range(dataset.n):
         row = [repr(v) for v in dataset.features[i].tolist()]
         row.append(str(int(dataset.labels[i])))
@@ -380,7 +369,7 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise DataError(f"truncated payload in {labels_path}")
     labels = np.frombuffer(label_payload[:label_count], dtype=np.uint8).astype(np.int64)
     class_count = int(labels.max()) + 1 if label_count else 1
-    return Dataset(features, labels, class_count, provenance=f"idx:{images_path}")
+    return Dataset(features, labels, class_count)
 
 
 def batch_moments(dataset: Dataset, plan: FragmentationPlan, batch_index: int) -> GaussianMoments:
@@ -419,8 +408,8 @@ def train_validation_split(
     train_idx = np.flatnonzero(~val_mask)
     val_idx = np.flatnonzero(val_mask)
     return (
-        dataset.subset(train_idx, provenance=dataset.provenance + "#train"),
-        dataset.subset(val_idx, provenance=dataset.provenance + "#validation"),
+        dataset.subset(train_idx),
+        dataset.subset(val_idx),
         train_idx,
         val_idx,
     )

@@ -18,8 +18,8 @@ the pure functions, so each member's results are bit-identical to them and
 to a run of that member alone.
 
 The module also holds the serialisation helpers that the modules above it
-share: JSON field checks, the parameter-layout JSON codec and the atomic
-file write.
+share: JSON field checks, the parameter-layout JSON codec, the canonical
+JSON text and the atomic file write.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import os
 import tempfile
 import typing
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -278,6 +278,11 @@ def parse_json(text, where: str, error):
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or bytes that are not Unicode
         raise error(f"{where}: not valid JSON ({exc})") from None
+
+
+def canonical_json(value) -> str:
+    """The text of every JSON file the package writes: equal values, equal bytes."""
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 def read_json(path, error):
@@ -557,9 +562,9 @@ def mean_log_likelihood(spec: MlpSpec, params: ParameterVector, x, labels) -> fl
 class OptimizerConfig:
     kind: str = "adam"
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
 
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:

@@ -12,7 +12,6 @@ bit-identical to plain cross-entropy training.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -22,6 +21,7 @@ from .information import FisherEstimate, InformationError
 from .numerics import (
     MlpSpec,
     ParameterVector,
+    canonical_json,
     check_version,
     json_field,
     json_object,
@@ -228,7 +228,7 @@ def state_from_dict(payload: dict) -> PenaltyState:
 
 def save_state(state: PenaltyState, path) -> None:
     """Write a snapshot atomically (temp file then rename)."""
-    write_atomic(path, json.dumps(state_to_dict(state), sort_keys=True, indent=2) + "\n")
+    write_atomic(path, canonical_json(state_to_dict(state)))
 
 
 def load_state(path) -> PenaltyState:

@@ -2,7 +2,8 @@
 
 One run walks the plan's batches in order, epoch by epoch. Under the
 ``c3`` mode each finished batch deposits its Fisher diagonal into the penalty
-state, so later batches train against an anchored quadratic penalty. The two
+state, so later batches train against an anchored quadratic penalty. The
+state accumulates over every visit of every epoch and is never reset. The two
 cross-validation baselines share the same loop: ``cv_sequential`` warm-starts
 parameters with the penalty forced off, ``cv_independent`` re-initialises the
 model from the seed before every batch.
@@ -27,8 +28,8 @@ repetition), and shares the baselines across its lambda rows.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .numerics import (
     OptimizerConfig,
     OptimizerState,
     ParameterVector,
+    canonical_json,
     check_version,
     fields_from_json,
     forward_stack,
@@ -78,7 +80,9 @@ class TrainConfig:
     penalty: PenaltyConfig = PenaltyConfig()
     seed: int = 0
     baseline_mode: str = "c3"
-    reset_state_each_epoch: bool = False
+    # The penalty state is never reset between epochs. A constant only
+    # because perfbench's tracer (``training_key``) still reads it.
+    reset_state_each_epoch: ClassVar[bool] = False
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -146,7 +150,7 @@ class RunTrace:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return canonical_json(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "RunTrace":
@@ -308,8 +312,6 @@ def _train(dataset, validation, plan, spec, cfgs, params, opt_state, state, batc
         if independent and epoch == 1:
             members = (init_params(spec, first.seed),)
             opt_states = (init_optimizer_state(first.optimizer, members[0].size),)
-        if first.reset_state_each_epoch and epoch > 1 and i == 0:
-            states = [PenaltyState.empty()] * len(cfgs)
         x, y = dataset.rows(plan.batch_indices(i))
         members, opt_states, mean_losses = train_visit(
             spec, members, opt_states, x, y, first.minibatch_size,

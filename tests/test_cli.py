@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +8,7 @@ import sys
 import pytest
 
 import fishershift
-from fishershift.cli import main
+from fishershift.cli import build_parser, main, train_config
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(fishershift.__file__)))
 
@@ -67,6 +69,21 @@ class TestTrain:
         assert run_cli(*args, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("shuffle, digest", [
+        ("auto", "067740ea8b2e4c478ff21889f4e848590c838c04badd573839d2c12f43bcced8"),
+        ("on", "b4e0acbdb5322a3af29631cc2bb37ca46dcffa7e25d29b2efd5c6aab73dc8f66"),
+    ])
+    def test_synth_trace_bytes_are_pinned(self, recipe_path, tmp_path, shuffle, digest):
+        # Pins the recipe path of `train` (materialise, hold out, fragment);
+        # the perfbench golden traces cover only file sources.
+        out = tmp_path / "run.json"
+        assert run_cli(
+            "train", "--synth", recipe_path, "--batches", "2", "--seed", "7", "--epochs", "2",
+            "--samples-per-batch", "60", "--learning-rate", "0.05", "--shuffle", shuffle,
+            "--out", str(out),
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_zero_batches_exits_2_naming_flag(self, recipe_path, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("train", "--synth", recipe_path, "--batches", "0",
@@ -116,6 +133,20 @@ class TestTrain:
         )
         assert done.returncode == 1
         assert done.stderr.splitlines() == ["error: non-finite cross-entropy loss"]
+
+
+def test_every_train_config_field_is_set_by_a_flag():
+    # A config field that no flag sets is an option only tests can reach.
+    args = build_parser().parse_args([
+        "train", "--synth", "drift.json", "--out", "run.json", "--lambda", "0.5",
+        "--accumulation", "mean", "--epochs", "3", "--minibatch", "8", "--optimizer", "sgd",
+        "--learning-rate", "0.5", "--seed", "4", "--baseline", "cv_sequential",
+    ])
+    cfg = train_config(args, args.baseline)
+    for config in (cfg, cfg.optimizer, cfg.penalty):
+        default = type(config)()
+        for field in dataclasses.fields(config):
+            assert getattr(config, field.name) != getattr(default, field.name), field.name
 
 
 class TestSweep:

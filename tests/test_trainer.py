@@ -112,28 +112,8 @@ class TestReduction:
         a = shift_correction(train, val, plan, SPEC, quick_config(penalty=PenaltyConfig(lam=0.5)))
         b = shift_correction(train, val, plan, SPEC, quick_config(penalty=PenaltyConfig(lam=0.0)))
         assert not np.array_equal(a.final_params.values, b.final_params.values)
-
-    def test_reset_state_each_epoch_limits_accumulation(self):
-        train, val, plan = drift_setup(k=3, n_per_batch=80)
-        cfg = quick_config(epochs=4, penalty=PenaltyConfig(lam=0.2))
-        persistent = shift_correction(train, val, plan, SPEC, cfg)
-        resetting = shift_correction(
-            train, val, plan, SPEC, replace(cfg, reset_state_each_epoch=True)
-        )
-        # Persistent state keeps absorbing across epochs; the resetting run
-        # only ever holds one epoch's worth of batches.
-        assert persistent.final_penalty_state.batches_consumed == 4 * 3
-        assert resetting.final_penalty_state.batches_consumed == 3
-        assert not np.array_equal(
-            persistent.final_params.values, resetting.final_params.values
-        )
-
-    def test_reset_flag_is_inert_for_single_epoch(self):
-        train, val, plan = drift_setup(k=2, n_per_batch=60)
-        cfg = quick_config(epochs=1, penalty=PenaltyConfig(lam=0.2))
-        a = shift_correction(train, val, plan, SPEC, cfg)
-        b = shift_correction(train, val, plan, SPEC, replace(cfg, reset_state_each_epoch=True))
-        assert np.array_equal(a.final_params.values, b.final_params.values)
+        # The penalty state is never reset: every visit of every epoch adds one batch.
+        assert a.final_penalty_state.batches_consumed == 2 * 3
 
 
 class TestDeterminismAndCausality:
@@ -304,9 +284,8 @@ class TestStackedMembers:
     @pytest.mark.parametrize(
         "kw",
         [dict(penalty=PenaltyConfig(accumulation="sum")),
-         dict(penalty=PenaltyConfig(accumulation="mean")),
-         dict(reset_state_each_epoch=True)],
-        ids=["sum", "mean", "reset_each_epoch"],
+         dict(penalty=PenaltyConfig(accumulation="mean"))],
+        ids=["sum", "mean"],
     )
     def test_each_member_equals_its_own_run_bitwise(self, kw):
         train, val, plan = drift_setup(k=3, n_per_batch=80)
@@ -325,9 +304,8 @@ class TestStackedMembers:
          (dict(seed=1), "differ only"),
          (dict(optimizer=OptimizerConfig(learning_rate=0.5)), "differ only"),
          (dict(penalty=PenaltyConfig(accumulation="mean")), "differ only"),
-         (dict(reset_state_each_epoch=True), "differ only"),
          (dict(baseline_mode="cv_independent"), "trains alone")],
-        ids=["epochs", "seed", "optimizer", "accumulation", "reset", "cv_independent"],
+        ids=["epochs", "seed", "optimizer", "accumulation", "cv_independent"],
     )
     def test_members_may_differ_only_in_mode_and_lambda(self, change, message):
         train, val, plan = drift_setup(k=2, n_per_batch=60)
