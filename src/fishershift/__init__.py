@@ -93,6 +93,7 @@ from .penalty import (
 )
 from .trainer import (
     BatchRecord,
+    Run,
     RunTrace,
     TrainConfig,
     TrainerError,

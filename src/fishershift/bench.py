@@ -2,14 +2,17 @@
 
 A protocol names a list of batchwise splits (training fraction, batch count)
 or a foldwise fold count, and a sweep adds a grid of penalty strengths. The
-unit of work is one (split, repetition), seeded by hashing the split
-configuration: it materialises the data, the validation split and the plan
-once (``batchwise_split``, as ``train`` does), trains ``cv_independent``
-once, then ``cv_sequential`` and the penalised trainer at every distinct
-lambda once each, together as one stack (``trainer.train_members``): the
-baselines do not depend on lambda, and the stacked runs differ only in mode
-and lambda. Every lambda row of the split shares the baseline outcomes,
-averaged over repetitions.
+unit of work is the split. Each repetition, seeded by hashing the split
+configuration, materialises its data, validation set and plan once
+(``batchwise_split``, as ``train`` does; foldwise, once per fold rotation)
+and trains ``cv_independent`` once (``trainer.shift_correction``). Then
+``cv_sequential`` and the penalised trainer at every distinct lambda, for
+every repetition, train once each, together as one stack
+(``trainer.train_members``): the baselines do not depend on lambda, and
+stacked runs may differ in mode, lambda, seed and data. ``jobs`` cuts the
+repetitions into chunks, one stack per chunk, in parallel processes; the
+report bytes do not depend on it. Every lambda row of the split shares the
+baseline outcomes, averaged over repetitions.
 A time budget is checked before each split, and an exhausted budget skips
 the whole split: all of its lambda rows. Reports store the raw per-batch
 accuracy columns next to every derived statistic so a verifier can recompute
@@ -51,7 +54,7 @@ from .numerics import (
     parse_json,
 )
 from .penalty import PenaltyConfig
-from .trainer import RUN_MODES, TrainConfig, shift_correction, train_members
+from .trainer import RUN_MODES, Run, TrainConfig, shift_correction, train_members
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -250,71 +253,98 @@ def _accuracies(trace) -> tuple[list[float], float]:
     return [a * 100.0 for a in trace.per_batch_accuracies()], trace.final_accuracy() * 100.0
 
 
-def _train_split(train, val, plan, spec, train_cfg, seed, lambdas) -> list[dict]:
-    """Every distinct training of one (train, validation, plan) split.
-
-    ``cv_independent`` trains once on its own; ``cv_sequential`` and one
-    ``c3`` per distinct lambda train once, together, as one stack. Returns
-    one ``{mode: (batch accuracies, final accuracy)}`` outcome per entry of
-    ``lambdas``, each holding the shared baseline outcomes.
-    """
-    independent = shift_correction(
-        train, val, plan, spec, _mode_config(train_cfg, "cv_independent", 0.0, seed)
-    )
-    distinct = tuple(dict.fromkeys(lambdas))
-    sequential, *c3 = train_members(
-        train, val, plan, spec,
-        [_mode_config(train_cfg, "cv_sequential", 0.0, seed)]
-        + [_mode_config(train_cfg, "c3", lam, seed) for lam in distinct],
-    )
-    baselines = {"cv_sequential": _accuracies(sequential),
-                 "cv_independent": _accuracies(independent)}
-    by_lambda = {lam: _accuracies(trace) for lam, trace in zip(distinct, c3)}
-    return [{"c3": by_lambda[lam], **baselines} for lam in lambdas]
-
-
-def _run_split_rep(args) -> list[dict]:
-    """One (split, repetition) unit of work; shaped for executor.map.
-
-    Materialises the data, the validation split and the plan once, then
-    trains through ``_train_split``; foldwise mode averages the outcomes over
-    the fold rotations. Returns one outcome per entry of ``lambdas``.
-    """
-    (source, proto, train_cfg, spec, k, lambdas, seed, samples) = args
+def _rep_splits(source, proto: ProtocolSpec, k: int, seed: int, samples: int) -> list[tuple]:
+    """The (train, validation, plan) splits of one repetition: one batchwise
+    split (``batchwise_split``, as ``train`` makes it), or one per foldwise
+    rotation, each fold held out once."""
     if proto.mode == "batchwise":
-        train, val, plan = batchwise_split(
+        return [batchwise_split(
             source, k, max(2, samples // k), proto.validation_fraction, proto.shuffle, seed
-        )
-        return _train_split(train, val, plan, spec, train_cfg, seed, lambdas)
-
+        )]
     dataset = _materialise(source, proto.folds, max(2, samples // proto.folds), seed)
     folds = fragment(dataset, proto.folds, seed=seed, shuffle=shuffle_rows(source, proto.shuffle))
-    rotations = []
+    splits = []
     for rot in range(proto.folds):
-        val = dataset.subset(folds.batch_indices(rot))
         train_rows = [folds.batch_indices(i) for i in range(proto.folds) if i != rot]
-        train = dataset.subset(np.concatenate(train_rows))
-        plan = FragmentationPlan.from_sizes([rows.size for rows in train_rows])
-        rotations.append(_train_split(train, val, plan, spec, train_cfg, seed, lambdas))
-    outcomes = []
-    for j in range(len(lambdas)):
+        splits.append((
+            dataset.subset(np.concatenate(train_rows)),
+            dataset.subset(folds.batch_indices(rot)),
+            FragmentationPlan.from_sizes([rows.size for rows in train_rows]),
+        ))
+    return splits
+
+
+def _run_reps(args) -> list[list[dict]]:
+    """The repetitions ``seeds`` of one split; shaped for executor.map.
+
+    Every repetition materialises its data, validation set and plan once
+    per split (one, or one per foldwise rotation) and trains
+    ``cv_independent`` on each through ``shift_correction``. Then
+    ``cv_sequential`` and one ``c3`` per distinct lambda, on every split of
+    every repetition, train together as one ``train_members`` stack: the
+    baselines do not depend on lambda. Returns, per repetition, one
+    ``{mode: (batch accuracies, final accuracy)}`` outcome per entry of
+    ``lambdas``, averaged over the repetition's splits, each holding the
+    shared baseline outcomes.
+    """
+    (source, proto, train_cfg, spec, k, lambdas, seeds, samples) = args
+    splits, independent = [], []
+    for seed in seeds:
+        for train, val, plan in _rep_splits(source, proto, k, seed, samples):
+            splits.append((seed, train, val, plan))
+            independent.append(shift_correction(
+                train, val, plan, spec, _mode_config(train_cfg, "cv_independent", 0.0, seed)
+            ))
+    distinct = tuple(dict.fromkeys(lambdas))
+    modes = [("cv_sequential", 0.0)] + [("c3", lam) for lam in distinct]
+    stacked = train_members(
+        [Run(train, val, plan, _mode_config(train_cfg, mode, lam, seed))
+         for seed, train, val, plan in splits for mode, lam in modes],
+        spec,
+    )
+    per_split = []
+    for s, cv_independent in enumerate(independent):
+        sequential, *c3 = stacked[s * len(modes):(s + 1) * len(modes)]
+        baselines = {"cv_sequential": _accuracies(sequential),
+                     "cv_independent": _accuracies(cv_independent)}
+        by_lambda = {lam: _accuracies(trace) for lam, trace in zip(distinct, c3)}
+        per_split.append([{"c3": by_lambda[lam], **baselines} for lam in lambdas])
+    count = len(per_split) // len(seeds)
+    return [_average(per_split[r * count:(r + 1) * count], len(lambdas))
+            for r in range(len(seeds))]
+
+
+def _average(outcomes, count: int) -> list[dict]:
+    """The outcome of each of ``count`` lambdas averaged over the splits of
+    one repetition (the foldwise rotations; one batchwise split)."""
+    averaged = []
+    for j in range(count):
         outcome = {}
         for mode in RUN_MODES:
-            sums = np.zeros(proto.folds - 1)
+            sums = np.zeros(len(outcomes[0][j][mode][0]))
             final = 0.0
-            for rotation in rotations:
-                accs, rotation_final = rotation[j][mode]
+            for split in outcomes:
+                accs, split_final = split[j][mode]
                 sums += np.asarray(accs)
-                final += rotation_final
-            outcome[mode] = ((sums / proto.folds).tolist(), final / proto.folds)
-        outcomes.append(outcome)
-    return outcomes
+                final += split_final
+            outcome[mode] = ((sums / len(outcomes)).tolist(), final / len(outcomes))
+        averaged.append(outcome)
+    return averaged
 
 
 def _mode_config(train_cfg: TrainConfig, mode: str, lam: float, seed: int) -> TrainConfig:
     return replace(
         train_cfg, seed=seed, baseline_mode=mode, penalty=replace(train_cfg.penalty, lam=lam)
     )
+
+
+def _chunks(seeds: list[int], jobs: int) -> list[list[int]]:
+    """``seeds`` cut into at most ``jobs`` consecutive chunks of near-equal
+    length, the longer ones first."""
+    count = min(jobs, len(seeds))
+    size, extra = divmod(len(seeds), count)
+    bounds = np.cumsum([0] + [size + (1 if c < extra else 0) for c in range(count)])
+    return [seeds[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _splits(proto: ProtocolSpec) -> tuple[tuple, ...]:
@@ -379,9 +409,10 @@ def _row_label(proto: ProtocolSpec, fraction, k: int) -> str:
 def _execute(source, proto, train_cfg, spec, lambdas, samples, reference, jobs):
     """One report row per (split, lambda), split-major.
 
-    The unit of work is (split, repetition): its baselines run once and are
-    shared by every lambda row of the split. The time budget is checked
-    before each split, and an exhausted budget skips all of its rows.
+    The unit of work is the split: the baselines of each repetition run
+    once and are shared by every lambda row of the split. The time budget
+    is checked before each split, and an exhausted budget skips all of its
+    rows.
     """
     started = time.monotonic()
     rows = []
@@ -399,13 +430,11 @@ def _execute(source, proto, train_cfg, spec, lambdas, samples, reference, jobs):
                 continue
             seeds = [derive_seed(train_cfg.seed, key, r) for r in range(proto.repetitions)]
             tasks = [
-                (source, proto, train_cfg, spec, k, tuple(lambdas), seed, samples)
-                for seed in seeds
+                (source, proto, train_cfg, spec, k, tuple(lambdas), chunk, samples)
+                for chunk in _chunks(seeds, jobs)
             ]
-            if pool is not None:
-                per_rep = list(pool.map(_run_split_rep, tasks))
-            else:
-                per_rep = [_run_split_rep(task) for task in tasks]
+            run = map if pool is None else pool.map
+            per_rep = [outcome for chunk in run(_run_reps, tasks) for outcome in chunk]
             for j, lam in enumerate(lambdas):
                 rep_outcomes = [outcomes[j] for outcomes in per_rep]
                 rows.append(

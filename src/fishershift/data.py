@@ -68,6 +68,15 @@ class Dataset:
         return self.features.shape[1]
 
     def rows(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Features and labels of the rows at ``indices``. A contiguous
+        ascending run of rows, such as a batch of an unshuffled plan, comes
+        back as read-only views without a copy; other indices as copies."""
+        indices = np.asarray(indices)
+        if indices.size and np.all(np.diff(indices) == 1):
+            window = slice(int(indices[0]), int(indices[0]) + indices.size)
+            features, labels = self.features[window], self.labels[window]
+            features.flags.writeable = labels.flags.writeable = False
+            return features, labels
         return self.features[indices], self.labels[indices]
 
     def subset(self, indices: np.ndarray) -> "Dataset":

@@ -10,12 +10,16 @@ Each spec's layer slices are resolved once and cached. The forward pass,
 the softmax and the one backprop routine work on a stack of M models whose
 flat vectors are the rows of one (M, P) matrix, with batched products;
 ``forward``, ``loss_and_gradient`` and ``score_square_mean`` are their M=1
-case, and the backprop serves both the gradient and the squared scores.
-``train_visit``, the one step kernel, runs every minibatch step of a batch
-visit for all M members in lockstep, updating private buffers in place. Per
-member it performs the same floating-point operations in the same order as
-the pure functions, so each member's results are bit-identical to them and
-to a run of that member alone.
+case, and the backprop serves both the gradient and the squared scores. The
+input is one batch shared by every member, or D batches for D equal groups
+of consecutive members (D = M: a batch per member); inside, the members are
+viewed as (D, M/D) and each batch broadcasts over its group, so every array
+is (D, M/D, rows, width). ``train_visit``, the one step kernel, runs every
+minibatch step of a batch visit for all M members in lockstep, updating
+private buffers in place. Per member it performs the same floating-point
+operations in the same order as the pure functions on that member's own
+batch, so each member's results are bit-identical to them and to a run of
+that member alone.
 
 The module also holds the serialisation helpers that the modules above it
 share: JSON field checks, the parameter-layout JSON codec, the canonical
@@ -326,24 +330,60 @@ def init_params(spec: MlpSpec, seed: int) -> ParameterVector:
     return ParameterVector(values, layout)
 
 
-def _check_input(spec: MlpSpec, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise NumericsError(f"input must be 2-D (rows, features), got ndim={x.ndim}")
-    if x.shape[1] != spec.input_dim:
+def _input_blocks(spec: MlpSpec, x, members: int) -> list[np.ndarray]:
+    """The input blocks of ``x``, float64 (rows, features) arrays.
+
+    A 2-D array is one block, shared by all ``members``. A 3-D array or a
+    list of 2-D arrays holds D blocks of one shape, one per group of M/D
+    consecutive members, so D must divide M; D = M gives every member its
+    own input. Blocks are views of ``x`` where its dtype allows.
+    """
+    if isinstance(x, (list, tuple)):
+        blocks = [np.asarray(block, dtype=np.float64) for block in x]
+    else:
+        x = np.asarray(x, dtype=np.float64)
+        blocks = [x] if x.ndim == 2 else list(x) if x.ndim == 3 else []
+    if not blocks or any(b.ndim != 2 or b.shape != blocks[0].shape for b in blocks):
+        raise NumericsError("input must be 2-D (rows, features), or blocks of that shape")
+    if blocks[0].shape[1] != spec.input_dim:
         raise NumericsError(
-            f"input has {x.shape[1]} features, spec expects {spec.input_dim}"
+            f"input has {blocks[0].shape[1]} features, spec expects {spec.input_dim}"
         )
-    return x
+    if members % len(blocks):
+        raise NumericsError(f"{len(blocks)} input blocks do not divide {members} members")
+    return blocks
 
 
-def _check_labels(labels, n: int, classes: int) -> np.ndarray:
+def _block_rows(blocks: list[np.ndarray], start: int, stop: int, out=None) -> np.ndarray:
+    """Rows ``start:stop`` (within bounds) of every block as one (D, 1,
+    rows, features) array: a view of a lone block, else a copy (into
+    ``out``, if given)."""
+    if len(blocks) == 1:
+        return blocks[0][None, None, start:stop]
+    if out is None:
+        out = np.empty((len(blocks), 1, stop - start, blocks[0].shape[1]))
+    for d, block in enumerate(blocks):
+        out[d, 0] = block[start:stop]
+    return out
+
+
+def _check_labels(labels, blocks: int, rows: int, classes: int) -> np.ndarray:
+    """``labels`` of ``blocks`` inputs of ``rows`` rows: (rows,) for one
+    input, (D, rows) or a list of D label vectors for D; returned as (D,
+    rows)."""
     labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise NumericsError(f"expected {n} labels, got shape {labels.shape}")
+    if labels.shape not in ((blocks, rows), (rows,) if blocks == 1 else None):
+        raise NumericsError(f"expected {rows} labels per input block, got shape {labels.shape}")
     if labels.min() < 0 or labels.max() >= classes:
         raise NumericsError(f"label out of range [0, {classes})")
-    return labels
+    return labels.reshape(blocks, rows)
+
+
+def _row_offsets(blocks: int, members: int, rows: int, classes: int) -> np.ndarray:
+    """Flat position of class 0 of every row of every member in a C-ordered
+    (D, M/D, rows, classes) array; adding a label gives its logit's position."""
+    member = np.arange(members).reshape(blocks, members // blocks, 1)
+    return (member * rows + np.arange(rows)) * classes
 
 
 class _Layer(NamedTuple):
@@ -386,23 +426,26 @@ def _layers_for(spec: MlpSpec, members) -> tuple[_Layer, ...]:
     return layers
 
 
-def _views(layers: tuple[_Layer, ...], values: np.ndarray) -> list:
+def _views(layers: tuple[_Layer, ...], values: np.ndarray, blocks: int) -> list:
     """Per-layer (weight, bias, transposed weight) views into the (M, P)
-    matrix ``values``, one member per row: weights (M, fan_in, fan_out),
-    biases (M, 1, fan_out). They track in-place updates of ``values``."""
-    members = values.shape[0]
-    blocks = []
+    matrix ``values``, one member per row, split into ``blocks`` groups of
+    consecutive members to match the input blocks: weights (D, M/D, fan_in,
+    fan_out), biases (D, M/D, 1, fan_out). They track in-place updates of
+    ``values``."""
+    shape = (blocks, values.shape[0] // blocks)
+    views = []
     for layer in layers:
-        w = values[:, layer.weight].reshape(members, *layer.shape)
-        b = None if layer.bias is None else values[:, None, layer.bias]
-        blocks.append((w, b, w.transpose(0, 2, 1)))
-    return blocks
+        w = values[:, layer.weight].reshape(*shape, *layer.shape)
+        b = None if layer.bias is None else values[:, None, layer.bias].reshape(*shape, 1, -1)
+        views.append((w, b, w.swapaxes(-1, -2)))
+    return views
 
 
 def _forward_trace(layers, blocks, x: np.ndarray):
     """Each layer's input and pre-activation for every member; the last
-    pre-activation is the logits. The input ``x`` (rows, features) is shared;
-    every later array is (M, rows, width)."""
+    pre-activation is the logits. The input blocks ``x`` (D, 1, rows,
+    features) broadcast over the members of their group; every later array
+    is (D, M/D, rows, width)."""
     activations = [x]
     pre_acts = []
     h = x
@@ -417,8 +460,8 @@ def _forward_trace(layers, blocks, x: np.ndarray):
 
 
 def _backprop(layers, blocks, activations, pre_acts, delta, out_blocks, squared: bool):
-    """Propagate each member's logit-level ``delta`` (M, rows, classes) back
-    through every layer into ``out_blocks``, the ``_views`` of an (M, P)
+    """Propagate each member's logit-level ``delta`` (D, M/D, rows, classes)
+    back through every layer into ``out_blocks``, the ``_views`` of an (M, P)
     output matrix; the products write straight into it.
 
     With ``squared=False`` each block receives the batch gradient, h.T @ delta.
@@ -426,9 +469,12 @@ def _backprop(layers, blocks, activations, pre_acts, delta, out_blocks, squared:
     gradients: a weight's per-sample gradient is the outer product
     h_i * delta_j, so the sum of its squares contracts to (h**2).T @ delta**2
     without materialising per-sample gradients.
+
+    Each layer's output and pre-activation are dropped from the lists once
+    backprop is past them, so a whole-batch pass holds less at once.
     """
     for i in range(len(layers) - 1, -1, -1):
-        layer = layers[i]
+        activations[i + 1] = pre_acts[i] = None
         h = activations[i]
         if squared:
             d = delta**2
@@ -451,11 +497,17 @@ def _stack(members) -> np.ndarray:
 
 
 def forward_stack(spec: MlpSpec, members, x) -> np.ndarray:
-    """Logits of every member, shape (M, rows, output_classes)."""
-    x = _check_input(spec, x)
+    """Logits of every member, shape (M, rows, output_classes).
+
+    ``x`` is (rows, features), shared by every member, or D such blocks
+    (a 3-D array or a list, copied into one), one per group of M/D
+    consecutive members.
+    """
+    blocks = _input_blocks(spec, x, len(members))
     layers = _layers_for(spec, members)
-    _, pre_acts = _forward_trace(layers, _views(layers, _stack(members)), x)
-    logits = pre_acts[-1]
+    x = _block_rows(blocks, 0, blocks[0].shape[0])
+    _, pre_acts = _forward_trace(layers, _views(layers, _stack(members), len(blocks)), x)
+    logits = pre_acts[-1].reshape(len(members), *pre_acts[-1].shape[2:])
     if not np.isfinite(logits).all():
         raise NumericsError("non-finite logits in forward pass")
     return logits
@@ -466,24 +518,39 @@ def forward(spec: MlpSpec, params: ParameterVector, x) -> np.ndarray:
     return forward_stack(spec, (params,), x)[0]
 
 
+def _class_reduce(ufunc, values: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce`` over the class axis, keeping it. Below 8 classes
+    numpy reduces left to right, so explicit class slices give the same bits
+    without its per-row inner loop; from 8 classes on numpy sums pairwise,
+    and the ufunc reduction runs."""
+    classes = values.shape[-1]
+    if not 2 <= classes < 8:
+        return ufunc.reduce(values, axis=-1, keepdims=True)
+    out = ufunc(values[..., 0:1], values[..., 1:2])
+    for c in range(2, classes):
+        ufunc(out, values[..., c:c + 1], out=out)
+    return out
+
+
 def _softmax_cross_entropy(
-    logits: np.ndarray, labels: np.ndarray, rows: np.ndarray
+    logits: np.ndarray, positions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean cross-entropy of already-checked labels per member, and the softmax rows.
 
-    ``logits`` is (M, rows, classes) and ``rows`` is ``np.arange(rows)``.
-    Reductions are called as ufuncs (``np.add.reduce`` for ``.sum()``, a sum
-    over the count for ``.mean()``): the same rounding, without the
-    Python-level wrappers that cost more than the arithmetic at minibatch
-    sizes.
+    ``logits`` is (D, M/D, rows, classes) and ``positions`` (D, M/D, rows)
+    holds the flat position of each row's label logit (``_row_offsets`` plus
+    the label). Reductions are called as ufuncs (``np.add.reduce`` for
+    ``.sum()``, a sum over the count for ``.mean()``): the same rounding,
+    without the Python-level wrappers that cost more than the arithmetic at
+    minibatch sizes.
     """
-    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
-    logp = shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
-    # The gathered (M, rows) block comes out column-major; made row-major,
-    # each member's sum runs over contiguous memory, which numpy sums
-    # pairwise, as it sums a single member's 1-D block.
-    picked = np.ascontiguousarray(logp[:, rows, labels])
-    loss = -(np.add.reduce(picked, axis=-1) / rows.size)
+    shifted = logits - _class_reduce(np.maximum, logits)
+    logp = shifted - np.log(_class_reduce(np.add, np.exp(shifted)))
+    # Gathered in row-major order, each member's label log-probabilities
+    # are contiguous, and numpy sums them pairwise, as it sums a single
+    # member's 1-D block.
+    picked = logp.take(positions)
+    loss = -(np.add.reduce(picked, axis=-1).reshape(-1) / positions.shape[-1])
     if not all(map(math.isfinite, loss.tolist())):
         raise NumericsError("non-finite cross-entropy loss")
     return loss, np.exp(logp, out=logp)
@@ -498,31 +565,40 @@ def cross_entropy_loss(logits, labels) -> tuple[float, np.ndarray]:
     if logits.ndim != 2:
         raise NumericsError("logits must be 2-D")
     n, c = logits.shape
-    loss, prob = _softmax_cross_entropy(logits[None], _check_labels(labels, n, c), np.arange(n))
-    return float(loss[0]), prob[0]
+    labels = _check_labels(labels, 1, n, c)
+    loss, prob = _softmax_cross_entropy(logits[None, None], _row_offsets(1, 1, n, c) + labels)
+    return float(loss[0]), prob[0, 0]
 
 
-def _loss_and_gradient_into(layers, blocks, x, labels, rows, grad_blocks) -> np.ndarray:
+def _loss_and_gradient_into(layers, blocks, x, positions, grad_blocks) -> np.ndarray:
     """Mean cross-entropy of one checked batch per member; the gradients go
     into ``grad_blocks``, the ``_views`` of an (M, P) gradient matrix."""
     activations, pre_acts = _forward_trace(layers, blocks, x)
-    loss, delta = _softmax_cross_entropy(pre_acts[-1], labels, rows)
+    loss, delta = _softmax_cross_entropy(pre_acts[-1], positions)
     # Output delta of the mean loss: softmax minus one-hot, over the row count.
-    delta[:, rows, labels] -= 1.0
-    delta /= rows.size
+    delta.reshape(-1)[positions] -= 1.0
+    delta /= positions.shape[-1]
     _backprop(layers, blocks, activations, pre_acts, delta, grad_blocks, squared=False)
     return loss
 
 
+def _single_batch(spec: MlpSpec, params: ParameterVector, x, labels):
+    """The checked layers, input block and label positions of one member on
+    one batch."""
+    (x,) = _input_blocks(spec, x, 1)
+    layers = _layers_for(spec, (params,))
+    labels = _check_labels(labels, 1, x.shape[0], spec.output_classes)
+    positions = _row_offsets(1, 1, x.shape[0], spec.output_classes) + labels[:, None]
+    return layers, x[None, None], positions
+
+
 def loss_and_gradient(spec: MlpSpec, params: ParameterVector, x, labels):
     """Mean cross-entropy loss and its analytic gradient in one pass."""
-    x = _check_input(spec, x)
-    labels = _check_labels(labels, x.shape[0], spec.output_classes)
-    layers = _layers_for(spec, (params,))
+    layers, x, positions = _single_batch(spec, params, x, labels)
     values = params.values[None]  # read, never written
     grad = np.empty_like(values)
     loss = _loss_and_gradient_into(
-        layers, _views(layers, values), x, labels, np.arange(x.shape[0]), _views(layers, grad)
+        layers, _views(layers, values, 1), x, positions, _views(layers, grad, 1)
     )
     if not np.isfinite(grad).all():
         raise NumericsError("non-finite gradient")
@@ -531,21 +607,17 @@ def loss_and_gradient(spec: MlpSpec, params: ParameterVector, x, labels):
 
 def score_square_mean(spec: MlpSpec, params: ParameterVector, x, labels) -> np.ndarray:
     """Per-parameter mean of squared per-sample log-likelihood gradients."""
-    x = _check_input(spec, x)
-    labels = _check_labels(labels, x.shape[0], spec.output_classes)
-    layers = _layers_for(spec, (params,))
+    layers, x, positions = _single_batch(spec, params, x, labels)
     values = params.values[None]  # read, never written
-    blocks = _views(layers, values)
+    blocks = _views(layers, values, 1)
     activations, pre_acts = _forward_trace(layers, blocks, x)
-    n = x.shape[0]
-    rows = np.arange(n)
-    _, prob = _softmax_cross_entropy(pre_acts[-1], labels, rows)
+    _, prob = _softmax_cross_entropy(pre_acts[-1], positions)
     # Per-sample score at the logits: one-hot minus softmax.
-    delta = -prob
-    delta[:, rows, labels] += 1.0
+    delta = np.negative(prob, out=prob)
+    delta.reshape(-1)[positions] += 1.0
     acc = np.empty_like(values)
-    _backprop(layers, blocks, activations, pre_acts, delta, _views(layers, acc), squared=True)
-    acc /= n
+    _backprop(layers, blocks, activations, pre_acts, delta, _views(layers, acc, 1), squared=True)
+    acc /= positions.shape[-1]
     if not np.isfinite(acc).all():
         raise NumericsError("non-finite score accumulation")
     return acc[0]
@@ -648,13 +720,19 @@ def train_visit(
 
     ``members`` and ``opt_states`` hold one parameter vector and one
     optimizer state per member; the states share one config and step count.
-    The members are stacked into one (M, P) matrix, and each step runs the
-    forward pass, softmax cross-entropy backprop, the optional penalty and
-    the optimizer update for all of them at once, with batched products, on
-    buffers private to this call, updated in place. Per member, the
-    floating-point operations and their order are those of
-    ``loss_and_gradient`` plus the penalty followed by ``optimizer_step``,
-    so each member's results are bit-identical to that composition.
+    ``x`` is the batch, (rows, features) with labels (rows,), shared by
+    every member; or D such batches (a 3-D array or a list) with labels (D,
+    rows), one per group of M/D consecutive members, D = M for a batch per
+    member. A shared batch's minibatches are views of it; D batches are
+    never stacked whole: each step copies only its minibatch rows of each
+    into one (D, rows, features) buffer. The members are stacked into one
+    (M, P) matrix, and each step runs the forward pass, softmax cross-entropy
+    backprop, the optional penalty and the optimizer update for all of them
+    at once, with batched products, on buffers private to this call,
+    updated in place. Per member, the floating-point operations and their
+    order are those of ``loss_and_gradient`` plus the penalty followed by
+    ``optimizer_step`` on its own batch, so each member's results are
+    bit-identical to that composition.
 
     Input shape and label range are checked once, for the whole batch that
     every minibatch is sliced from; every member's cross-entropy loss and
@@ -667,9 +745,9 @@ def train_visit(
     fresh parameters, fresh optimizer states and the mean step loss, one per
     member; the caller's vectors and states are never written.
     """
-    x = _check_input(spec, x)
-    n = x.shape[0]
-    labels = _check_labels(labels, n, spec.output_classes)
+    blocks = _input_blocks(spec, x, len(members))
+    n = blocks[0].shape[0]
+    labels = _check_labels(labels, len(blocks), n, spec.output_classes)
     layers = _layers_for(spec, members)
     cfg, t = opt_states[0].config, opt_states[0].step_count
     if len(opt_states) != len(members) or any(
@@ -681,16 +759,21 @@ def train_visit(
     values = _stack(members)
     m = np.stack([s.m for s in opt_states])
     v = np.stack([s.v for s in opt_states])
-    blocks = _views(layers, values)
+    views = _views(layers, values, len(blocks))
     grad = np.empty_like(values)
-    grad_blocks = _views(layers, grad)
+    grad_views = _views(layers, grad, len(blocks))
+    classes = spec.output_classes
+    offsets = _row_offsets(len(blocks), len(members), minibatch_size, classes)
+    buffer = None  # D inputs: every step copies its rows of each into one buffer
     losses = []
-    all_rows = np.arange(minibatch_size)
     penalised, term = (None, None) if penalty is None else penalty
     for start in range(0, n, minibatch_size):
-        xb = x[start:start + minibatch_size]
-        yb = labels[start:start + minibatch_size]
-        loss = _loss_and_gradient_into(layers, blocks, xb, yb, all_rows[:yb.size], grad_blocks)
+        yb = labels[:, None, start:start + minibatch_size]
+        rows = yb.shape[-1]
+        if rows < minibatch_size:  # the last, shorter minibatch
+            offsets, buffer = _row_offsets(len(blocks), len(members), rows, classes), None
+        xb = buffer = _block_rows(blocks, start, start + rows, buffer)
+        loss = _loss_and_gradient_into(layers, views, xb, offsets + yb, grad_views)
         if term is not None:
             value, penalty_grad = term(values[penalised])
             loss[penalised] += value

@@ -5,31 +5,35 @@ One run walks the plan's batches in order, epoch by epoch. Under the
 state, so later batches train against an anchored quadratic penalty. The
 state accumulates over every visit of every epoch and is never reset. The two
 cross-validation baselines share the same loop: ``cv_sequential`` warm-starts
-parameters with the penalty forced off, ``cv_independent`` re-initialises the
-model from the seed before every batch.
+parameters with the penalty forced off, ``cv_independent`` trains every
+batch from the seeded initialisation.
 
 Within a run everything is strictly sequential; information only ever flows
 from earlier batches to later ones. The one training loop steps a stack of
-members: runs that differ only in mode (``c3`` or ``cv_sequential``) and
-penalty strength share the initialisation, the optimizer and the minibatch
-order, so ``train_members`` trains them in lockstep, each visit's minibatch
-steps for all of them in one ``numerics.train_visit`` call, and evaluates
-them in one stacked forward pass. Each member's trace is bit-identical to
-its own ``shift_correction`` run, which is the one-member case.
-``train_visit`` works on buffers private to the visit; the parameters it
-hands back are fresh ``ParameterVector``s that the Fisher estimate, the
-penalty anchor, evaluation and the trace all share, and that nothing writes
-to afterwards.
+members, each with its own data, validation set, plan, seed and sequence of
+batch visits; visit v of every member trains on that member's v-th batch.
+``train_members`` stacks runs that differ only in mode (``c3`` or
+``cv_sequential``), penalty strength, seed and data. ``shift_correction``
+trains one run: ``c3`` and ``cv_sequential`` as one member, ``cv_independent``
+as one member per batch. Each visit, the members whose batches have equal
+sizes step through one ``numerics.train_visit`` call, those sharing a batch
+on one input block, and the members of each validation set are evaluated in
+one stacked forward pass. Each member's trace is bit-identical to a run of
+it alone. ``train_visit`` works on buffers private to the visit; the
+parameters it hands back are fresh ``ParameterVector``s that the Fisher
+estimate, the penalty anchor, evaluation and the trace all share, and that
+nothing writes to afterwards.
 
-A lambda sweep (``bench``) trains ``cv_independent`` alone and
-``cv_sequential`` with every ``c3`` lambda as one stack, once per (split,
-repetition), and shares the baselines across its lambda rows.
+A lambda sweep (``bench``) trains ``cv_independent`` once per (split,
+repetition), and ``cv_sequential`` with every ``c3`` lambda of every
+repetition of a split as one stack, and shares the baselines across its
+lambda rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
-from typing import ClassVar
+from dataclasses import asdict, dataclass, field, replace
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -201,6 +205,66 @@ def kl_diagnostic_matrix(dataset: Dataset, plan: FragmentationPlan) -> np.ndarra
     return out
 
 
+class Run(NamedTuple):
+    """One training run of a stack: its data, validation set, plan and config."""
+
+    dataset: Dataset
+    validation: Dataset
+    plan: FragmentationPlan
+    cfg: TrainConfig
+
+
+@dataclass(eq=False)
+class _Member:
+    """One member of the training loop's stack: the batch visits it makes,
+    in order, and its live state."""
+
+    run: Run
+    visits: tuple[tuple[int, int], ...]  # (epoch, batch index)
+    params: ParameterVector
+    opt_state: OptimizerState
+    state: PenaltyState
+    records: list = field(default_factory=list)
+    loss: float = 0.0  # the mean step loss of the latest visit
+    history: list | None = None  # (epoch, batch index, params) per visit, if kept
+    penalty: PenaltyConfig = field(init=False)
+
+    def __post_init__(self):
+        # Only c3 pays the penalty; the baselines train with lambda 0.
+        cfg = self.run.cfg
+        self.penalty = cfg.penalty if cfg.baseline_mode == "c3" else replace(cfg.penalty, lam=0.0)
+
+    def batch_key(self, v: int) -> tuple:
+        """Identifies the batch of visit ``v``: members with equal keys share it."""
+        return id(self.run.dataset), id(self.run.plan), self.visits[v][1]
+
+    def batch(self, v: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rows and labels of the batch of visit ``v``."""
+        return self.run.dataset.rows(self.run.plan.batch_indices(self.visits[v][1]))
+
+
+def _visits(cfg: TrainConfig, plan: FragmentationPlan) -> list[tuple[tuple[int, int], ...]]:
+    """The (epoch, batch index) visits of each member of one run: one
+    epoch-major member, or for ``cv_independent`` one member per batch."""
+    epochs = range(1, cfg.epochs + 1)
+    batches = range(plan.batch_count)
+    if cfg.baseline_mode == "cv_independent":
+        return [tuple((epoch, i) for epoch in epochs) for i in batches]
+    return [tuple((epoch, i) for epoch in epochs for i in batches)]
+
+
+def _trace(members) -> RunTrace:
+    """The trace of one run trained as ``members``: their records, in member
+    order, and the last member's final state."""
+    last = members[-1]
+    return RunTrace(
+        records=tuple(record for member in members for record in member.records),
+        final_params=last.params,
+        final_penalty_state=last.state,
+        final_optimizer_state=last.opt_state,
+    )
+
+
 def shift_correction(
     dataset: Dataset,
     validation: Dataset,
@@ -218,14 +282,16 @@ def shift_correction(
     minimise the penalised loss over the batch, then (in ``c3`` mode) absorb
     the batch's Fisher diagonal into the penalty state anchored at the
     parameters the batch finished with. Validation accuracy is measured after
-    every visit, and ``batch_hook(epoch, batch_index, params)`` is called
-    after it. The ``initial_*`` arguments resume a run from a batch
-    boundary; ``cv_independent`` re-initialises before every batch, so it
-    rejects them.
+    every visit. ``batch_hook(epoch, batch_index, params)`` is called once
+    per visit, in record order, when training is done. The ``initial_*``
+    arguments resume a run from a batch boundary.
 
-    ``cv_independent`` visits batch-major (every epoch of batch 0, then of
-    batch 1, ...); the other modes visit epoch-major. This is the one-member
-    case of ``train_members``.
+    ``c3`` and ``cv_sequential`` visit epoch-major. ``cv_independent`` trains
+    every batch from the seeded initialisation: batch i is a member of its
+    own that makes every epoch's visit of batch i, and the K members step as
+    one stack. Its records come batch-major (every epoch of batch 0, then of
+    batch 1, ...), and its final state is batch K-1's. It starts from the
+    seed by definition, so it rejects ``initial_*`` state.
     """
     resume = (initial_params, initial_penalty_state, initial_optimizer_state)
     if cfg.baseline_mode == "cv_independent" and any(value is not None for value in resume):
@@ -240,108 +306,149 @@ def shift_correction(
         else init_optimizer_state(cfg.optimizer, params.size)
     )
     state = initial_penalty_state if initial_penalty_state is not None else PenaltyState.empty()
-    hook = None if batch_hook is None else (lambda epoch, i, members: batch_hook(epoch, i, members[0]))
-    (trace,) = _train(dataset, validation, plan, spec, (cfg,), params, opt_state, state, hook)
-    return trace
+    run = Run(dataset, validation, plan, cfg)
+    members = [
+        _Member(run, visits, params, opt_state, state,
+                 history=None if batch_hook is None else [])
+        for visits in _visits(cfg, plan)
+    ]
+    _train(spec, members)
+    if batch_hook is not None:
+        for member in members:
+            for epoch, i, member_params in member.history:
+                batch_hook(epoch, i, member_params)
+    return _trace(members)
 
 
-def train_members(
-    dataset: Dataset,
-    validation: Dataset,
-    plan: FragmentationPlan,
-    spec: MlpSpec,
-    cfgs,
-) -> tuple[RunTrace, ...]:
-    """Train several runs in lockstep, as one stack; one trace per config.
+def train_members(runs, spec: MlpSpec) -> tuple[RunTrace, ...]:
+    """Train several runs in lockstep, as one stack; one trace per run.
 
-    The configs may differ only in ``baseline_mode`` (``c3`` or
-    ``cv_sequential``) and ``penalty.lam``, so the runs share the seeded
-    initialisation, the optimizer and the minibatch order, and every step of
-    every member goes through one ``numerics.train_visit`` call. Each trace
-    is bit-identical to the member's own ``shift_correction`` run.
-    ``cv_independent`` re-initialises before every batch and visits
-    batch-major, so it trains alone.
+    Each run (a ``Run``) brings its own data, validation set, plan and
+    config; the configs may differ only in ``baseline_mode`` (``c3`` or
+    ``cv_sequential``), ``penalty.lam`` and ``seed``. Every member makes its
+    own epoch-major visits of its own batches from its own seeded
+    initialisation, and each visit steps the members whose batches have
+    equal sizes through one ``numerics.train_visit`` call. Each trace is
+    bit-identical to the run's own ``shift_correction``. ``cv_independent``
+    is a stack of its own, so it trains through ``shift_correction``.
     """
-    cfgs = tuple(cfgs)
-    if not cfgs:
-        raise TrainerError("train_members needs at least one config")
-    first = cfgs[0]
-    if len(cfgs) > 1 and any(cfg.baseline_mode == "cv_independent" for cfg in cfgs):
-        raise TrainerError("cv_independent trains alone, not in a stack")
-    for cfg in cfgs:
-        shared = replace(cfg, baseline_mode=first.baseline_mode,
+    runs = tuple(runs)
+    if not runs:
+        raise TrainerError("train_members needs at least one run")
+    first = runs[0].cfg
+    for run in runs:
+        cfg = run.cfg
+        if cfg.baseline_mode == "cv_independent":
+            raise TrainerError("cv_independent trains alone, through shift_correction")
+        shared = replace(cfg, baseline_mode=first.baseline_mode, seed=first.seed,
                          penalty=replace(cfg.penalty, lam=first.penalty.lam))
         if shared != first:
-            raise TrainerError("stacked configs may differ only in baseline_mode and penalty.lam")
-    params = init_params(spec, first.seed)
-    opt_state = init_optimizer_state(first.optimizer, params.size)
-    return _train(dataset, validation, plan, spec, cfgs, params, opt_state,
-                  PenaltyState.empty(), None)
-
-
-def _train(dataset, validation, plan, spec, cfgs, params, opt_state, state, batch_hook):
-    """The one training loop: the members of ``cfgs``, which agree on all but
-    mode and lambda, start from ``params``, ``opt_state`` and ``state`` and
-    step together. ``batch_hook(epoch, batch_index, members)`` gets every
-    member's parameters after each visit."""
-    first = cfgs[0]
-    independent = first.baseline_mode == "cv_independent"
-    penalise = [m for m, cfg in enumerate(cfgs) if cfg.baseline_mode == "c3"]
-    pcfgs = [
-        cfg.penalty if cfg.baseline_mode == "c3" else replace(cfg.penalty, lam=0.0)
-        for cfg in cfgs
-    ]
-    members = (params,) * len(cfgs)
-    opt_states = (opt_state,) * len(cfgs)
-    states = [state] * len(cfgs)
-
-    k = plan.batch_count
-    moments = [batch_moments(dataset, plan, i) for i in range(k)]
-    kl_back = [
-        tuple(gaussian_kl(moments[i], moments[j]) for j in range(i)) for i in range(k)
-    ]
-
-    epochs = range(1, first.epochs + 1)
-    if independent:
-        visits = [(epoch, i) for i in range(k) for epoch in epochs]
-    else:
-        visits = [(epoch, i) for epoch in epochs for i in range(k)]
-
-    records = [[] for _ in cfgs]
-    for epoch, i in visits:
-        if independent and epoch == 1:
-            members = (init_params(spec, first.seed),)
-            opt_states = (init_optimizer_state(first.optimizer, members[0].size),)
-        x, y = dataset.rows(plan.batch_indices(i))
-        members, opt_states, mean_losses = train_visit(
-            spec, members, opt_states, x, y, first.minibatch_size,
-            penalty_term(states, pcfgs, members),
-        )
-        # One Fisher pass per penalised member: on a whole batch, stacked
-        # passes save no time, so only the minibatch steps run stacked.
-        for m in penalise:
-            fisher = empirical_fisher_diagonal(spec, members[m], x, y)
-            states[m] = absorb_batch(states[m], fisher, members[m], pcfgs[m])
-        accuracies = _evaluate_stack(spec, members, validation)
-        for member_records, accuracy, mean_loss in zip(records, accuracies, mean_losses):
-            member_records.append(
-                BatchRecord(
-                    epoch=epoch,
-                    batch_index=i,
-                    validation_accuracy=accuracy,
-                    mean_loss=mean_loss,
-                    kl_to_earlier=kl_back[i],
-                )
+            raise TrainerError(
+                "stacked configs may differ only in baseline_mode, penalty.lam and seed"
             )
-        if batch_hook is not None:
-            batch_hook(epoch, i, members)
-    return tuple(
-        RunTrace(
-            records=tuple(member_records),
-            final_params=final,
-            final_penalty_state=member_state,
-            final_optimizer_state=member_opt,
-        )
-        for member_records, final, member_state, member_opt
-        in zip(records, members, states, opt_states)
+    members = []
+    for run in runs:
+        params = init_params(spec, run.cfg.seed)
+        (visits,) = _visits(run.cfg, run.plan)
+        members.append(_Member(run, visits, params,
+                               init_optimizer_state(first.optimizer, params.size),
+                               PenaltyState.empty()))
+    _train(spec, members)
+    return tuple(_trace([member]) for member in members)
+
+
+def _batches(members, v: int):
+    """The batches of visit ``v`` of ``members`` as ``train_visit`` takes them.
+
+    The members' batches have equal row counts. Returns the members
+    reordered so that those sharing a batch are consecutive, and the lists
+    of batch features and labels: one batch for every member when they all
+    share it, D when D batches are shared by equally many members each, and
+    one per member otherwise.
+    """
+    by_batch = {}
+    for member in members:
+        by_batch.setdefault(member.batch_key(v), []).append(member)
+    groups = list(by_batch.values())
+    if len({len(group) for group in groups}) > 1:
+        groups = [[member] for member in members]
+    batches = [group[0].batch(v) for group in groups]
+    ordered = [member for group in groups for member in group]
+    return ordered, [x for x, _ in batches], [y for _, y in batches]
+
+
+def _step(spec, members, v: int) -> None:
+    """Visit ``v`` of ``members``, whose batches have equal sizes and whose
+    optimizers have taken equally many steps: one ``train_visit`` call, then
+    each ``c3`` member absorbs its own batch's Fisher diagonal."""
+    members, xs, ys = _batches(members, v)
+    params = [member.params for member in members]
+    params, opt_states, losses = train_visit(
+        spec, params, [member.opt_state for member in members], xs, ys,
+        members[0].run.cfg.minibatch_size,
+        penalty_term([member.state for member in members],
+                     [member.penalty for member in members], params),
     )
+    group = len(members) // len(xs)
+    for j, (member, member_params, opt_state, loss) in enumerate(
+        zip(members, params, opt_states, losses)
+    ):
+        member.params, member.opt_state, member.loss = member_params, opt_state, loss
+        # One Fisher pass per penalised member: on a whole batch, stacked
+        # passes save no time.
+        if member.run.cfg.baseline_mode == "c3":
+            fisher = empirical_fisher_diagonal(spec, member_params, xs[j // group], ys[j // group])
+            member.state = absorb_batch(member.state, fisher, member_params, member.penalty)
+
+
+def _train(spec, members) -> None:
+    """The one training loop, over a stack of ``_Member``s.
+
+    Every member carries its own run (data, validation set, plan, config)
+    and visit sequence, and the members agree on epochs, minibatch size and
+    optimizer. Visit v of each member trains on its v-th batch: the members
+    whose batches have equal sizes (and whose optimizers have taken equally
+    many steps) step through one ``train_visit`` call, those sharing a batch
+    on one input block. Every member is then evaluated, one stacked forward
+    pass per validation set. Members with fewer visits drop out when done.
+    A member that keeps a ``history`` gets its parameters after each visit.
+    """
+    kl_back = {}
+    for member in members:
+        run = member.run
+        key = id(run.dataset), id(run.plan)
+        if key not in kl_back:
+            moments = [batch_moments(run.dataset, run.plan, i)
+                       for i in range(run.plan.batch_count)]
+            kl_back[key] = [tuple(gaussian_kl(moments[i], moments[j]) for j in range(i))
+                            for i in range(len(moments))]
+
+    for v in range(max(len(member.visits) for member in members)):
+        active = [member for member in members if v < len(member.visits)]
+        steps = {}
+        for member in active:
+            size = member.run.plan.batch_indices(member.visits[v][1]).size
+            steps.setdefault((size, member.opt_state.step_count), []).append(member)
+        for group in steps.values():
+            _step(spec, group, v)
+        validations = {}
+        for member in active:
+            validations.setdefault(id(member.run.validation), []).append(member)
+        for group in validations.values():
+            accuracies = _evaluate_stack(
+                spec, [member.params for member in group], group[0].run.validation
+            )
+            for member, accuracy in zip(group, accuracies):
+                epoch, i = member.visits[v]
+                run = member.run
+                member.records.append(
+                    BatchRecord(
+                        epoch=epoch,
+                        batch_index=i,
+                        validation_accuracy=accuracy,
+                        mean_loss=member.loss,
+                        kl_to_earlier=kl_back[id(run.dataset), id(run.plan)][i],
+                    )
+                )
+                if member.history is not None:
+                    member.history.append((epoch, i, member.params))

@@ -267,7 +267,7 @@ class TestSharedBaselines:
             return real_single(*args, **kwargs)
 
         def stacked(*args, **kwargs):
-            calls.append(tuple(args[4]))
+            calls.append(tuple(run.cfg for run in args[0]))
             return real_stack(*args, **kwargs)
 
         monkeypatch.setattr(bench, "shift_correction", single)
@@ -275,25 +275,28 @@ class TestSharedBaselines:
         return calls
 
     @pytest.mark.parametrize(
-        "proto, units",
+        "proto, splits, rotations",
         [
-            (small_protocol(splits=((0.5, 2), (0.25, 4))), 2),
-            (ProtocolSpec(mode="foldwise", folds=3, repetitions=2), 3),
+            (small_protocol(splits=((0.5, 2), (0.25, 4))), 2, 1),
+            (ProtocolSpec(mode="foldwise", folds=3, repetitions=2), 1, 3),
         ],
         ids=["batchwise", "foldwise"],
     )
-    def test_one_training_per_distinct_run(self, monkeypatch, proto, units):
+    def test_one_training_per_distinct_run(self, monkeypatch, proto, splits, rotations):
         calls = self.count_trainings(monkeypatch)
         cfg = small_config()
         report, _ = lambda_sweep(
             RECIPE, self.LAMBDAS, proto, cfg, tabular_spec(4), samples=400
         )
-        # Per (split or fold rotation, repetition): cv_independent alone, then
-        # cv_sequential and one c3 per lambda as one stack.
-        assert len(calls) == proto.repetitions * units * 2
-        assert [len(call) for call in calls[:2]] == [1, len(self.LAMBDAS) + 1]
+        # Per split: cv_independent alone for every (repetition, fold
+        # rotation), then cv_sequential and one c3 per lambda of all of them
+        # as one stack.
+        units = proto.repetitions * rotations
+        assert [len(call) for call in calls] == splits * (
+            [1] * units + [units * (len(self.LAMBDAS) + 1)]
+        )
         configs = [cfg for call in calls for cfg in call]
-        assert len(configs) == proto.repetitions * units * (len(self.LAMBDAS) + 2)
+        assert len(configs) == units * splits * (len(self.LAMBDAS) + 2)
         monkeypatch.undo()
 
         for lam in self.LAMBDAS:
@@ -316,6 +319,20 @@ class TestSharedBaselines:
         configs = [cfg for call in calls for cfg in call]
         assert len(configs) == 1 * 1 * (1 + 2)
         assert len(set(configs)) == len(configs)
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_repetition_chunks_give_the_serial_report(self, jobs):
+        args = (RECIPE, self.LAMBDAS, small_protocol(repetitions=3), small_config(),
+                tabular_spec(4))
+        serial, _ = lambda_sweep(*args, samples=400)
+        chunked, _ = lambda_sweep(*args, samples=400, jobs=jobs)
+        assert chunked.to_json() == serial.to_json()
+
+    def test_chunks_cut_repetitions_in_order(self):
+        seeds = [11, 12, 13, 14, 15]
+        assert bench._chunks(seeds, 1) == [seeds]
+        assert bench._chunks(seeds, 2) == [[11, 12, 13], [14, 15]]
+        assert bench._chunks(seeds, 9) == [[s] for s in seeds]
 
     def test_time_budget_skips_whole_splits(self, monkeypatch):
         # A clock that advances 10 s per reading: the budget check before the

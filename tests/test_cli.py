@@ -84,6 +84,22 @@ class TestTrain:
         ) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("batches, samples, digest", [
+        ("2", "60", "d876f8935a68556d1bc2ef0a5480ab023f374fa2f37e66be26ec7cf9ac77ea49"),
+        ("3", "61", "a6d5e26035b7a1d9632360dc8fab5482afface09c48ff4bf56ac75ecb098d1d5"),
+    ], ids=["even", "ragged"])
+    def test_independent_trace_bytes_are_pinned(self, recipe_path, tmp_path, batches, samples,
+                                                digest):
+        # Batch sizes 48/48 and 49/49/48: the ragged plan's batches cannot
+        # all step in one group.
+        out = tmp_path / "run.json"
+        assert run_cli(
+            "train", "--synth", recipe_path, "--batches", batches, "--seed", "7",
+            "--epochs", "2", "--samples-per-batch", samples, "--learning-rate", "0.05",
+            "--baseline", "cv_independent", "--out", str(out),
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_zero_batches_exits_2_naming_flag(self, recipe_path, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("train", "--synth", recipe_path, "--batches", "0",

@@ -24,6 +24,23 @@ def toy_dataset(n=10, d=3, classes=2, seed=0):
     return Dataset(rng.normal(size=(n, d)), rng.integers(0, classes, size=n), classes)
 
 
+class TestRows:
+    def test_contiguous_rows_are_read_only_views(self):
+        ds = toy_dataset(n=12)
+        x, y = ds.rows(np.arange(3, 8))
+        assert np.shares_memory(x, ds.features) and np.shares_memory(y, ds.labels)
+        assert not x.flags.writeable and not y.flags.writeable
+        assert np.array_equal(x, ds.features[3:8]) and np.array_equal(y, ds.labels[3:8])
+        assert ds.features.flags.writeable
+
+    @pytest.mark.parametrize("indices", [[3, 5, 6], [4, 3, 2], [0, 0, 1]])
+    def test_other_rows_are_copies(self, indices):
+        ds = toy_dataset(n=12)
+        x, y = ds.rows(np.array(indices))
+        assert not np.shares_memory(x, ds.features)
+        assert np.array_equal(x, ds.features[indices]) and np.array_equal(y, ds.labels[indices])
+
+
 class TestFragment:
     def test_exact_division(self):
         plan = fragment(toy_dataset(n=100), 4)

@@ -95,6 +95,20 @@ class TestCrossEntropy:
         loss, _ = cross_entropy_loss(logits, labels)
         assert loss == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("classes", range(2, 10))
+    def test_log_softmax_matches_the_ufunc_reduction_bitwise(self, classes):
+        # Below 8 classes the max and the sum run over explicit class slices;
+        # they must give the bits of numpy's own reductions.
+        rng = np.random.default_rng(classes)
+        for _ in range(20):
+            logits = rng.normal(scale=4.0, size=(32, classes))
+            labels = rng.integers(0, classes, size=32)
+            shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+            logp = shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+            loss, prob = cross_entropy_loss(logits, labels)
+            assert np.array_equal(prob, np.exp(logp))
+            assert loss == -(np.add.reduce(logp[np.arange(32), labels]) / 32)
+
     def test_label_out_of_range(self):
         with pytest.raises(NumericsError, match="label out of range"):
             cross_entropy_loss(np.zeros((2, 3)), np.array([0, 3]))

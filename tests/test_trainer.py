@@ -22,6 +22,7 @@ from fishershift.numerics import (
 )
 from fishershift.penalty import PenaltyConfig
 from fishershift.trainer import (
+    Run,
     RunTrace,
     TrainConfig,
     TrainerError,
@@ -240,6 +241,24 @@ class TestIndependentBaseline:
             assert evaluate(SPEC, params, val) == record.validation_accuracy
         assert seen[-1][2] is trace.final_params
 
+    def test_each_batch_trains_alone_from_the_seed(self):
+        # Ragged batches (49/49/48 rows) step in two groups.
+        train, val, plan = drift_setup(k=3, n_per_batch=61)
+        assert plan.batch_sizes() == (49, 49, 48)
+        cfg = quick_config(epochs=3, baseline_mode="cv_independent")
+        trace = shift_correction(train, val, plan, SPEC, cfg)
+        for i in range(3):
+            part = train.subset(plan.batch_indices(i))
+            alone = shift_correction(part, val, fragment(part, 1), SPEC,
+                                     replace(cfg, baseline_mode="cv_sequential"))
+            got = trace.records[3 * i:3 * (i + 1)]
+            assert [(r.epoch, r.batch_index) for r in got] == [(1, i), (2, i), (3, i)]
+            assert [(r.validation_accuracy, r.mean_loss) for r in got] == [
+                (r.validation_accuracy, r.mean_loss) for r in alone.records
+            ]
+        # The final state is the last batch's.
+        assert_same_run(replace(trace, records=alone.records), alone)
+
     @pytest.mark.parametrize(
         "initial", ["initial_params", "initial_penalty_state", "initial_optimizer_state"]
     )
@@ -262,6 +281,11 @@ def member_configs(**kw):
     return [replace(base, baseline_mode="cv_sequential")] + [
         replace(base, penalty=replace(base.penalty, lam=lam)) for lam in (0.0, 0.05, 0.1)
     ]
+
+
+def shared_runs(train, val, plan, cfgs):
+    """One run per config, all on the same data."""
+    return [Run(train, val, plan, cfg) for cfg in cfgs]
 
 
 def assert_same_run(got, want):
@@ -290,7 +314,7 @@ class TestStackedMembers:
     def test_each_member_equals_its_own_run_bitwise(self, kw):
         train, val, plan = drift_setup(k=3, n_per_batch=80)
         cfgs = member_configs(**kw)
-        stacked = train_members(train, val, plan, SPEC, cfgs)
+        stacked = train_members(shared_runs(train, val, plan, cfgs), SPEC)
         assert len(stacked) == len(cfgs)
         for got, cfg in zip(stacked, cfgs):
             assert_same_run(got, shift_correction(train, val, plan, SPEC, cfg))
@@ -301,22 +325,46 @@ class TestStackedMembers:
     @pytest.mark.parametrize(
         "change, message",
         [(dict(epochs=2), "differ only"),
-         (dict(seed=1), "differ only"),
          (dict(optimizer=OptimizerConfig(learning_rate=0.5)), "differ only"),
          (dict(penalty=PenaltyConfig(accumulation="mean")), "differ only"),
          (dict(baseline_mode="cv_independent"), "trains alone")],
-        ids=["epochs", "seed", "optimizer", "accumulation", "cv_independent"],
+        ids=["epochs", "optimizer", "accumulation", "cv_independent"],
     )
     def test_members_may_differ_only_in_mode_and_lambda(self, change, message):
+        # And in seed and data: see test_runs_with_their_own_seeds_and_data_*.
         train, val, plan = drift_setup(k=2, n_per_batch=60)
         cfgs = member_configs()
         with pytest.raises(TrainerError, match=message):
-            train_members(train, val, plan, SPEC, cfgs + [replace(cfgs[0], **change)])
+            train_members(shared_runs(train, val, plan, cfgs + [replace(cfgs[0], **change)]), SPEC)
+
+    @pytest.mark.parametrize("stack", ["paired", "mixed"])
+    def test_runs_with_their_own_seeds_and_data_equal_their_own_runs(self, stack):
+        a = drift_setup(k=3, n_per_batch=80, seed=0)
+        b = drift_setup(k=3, n_per_batch=80, seed=1)
+        c = drift_setup(k=2, n_per_batch=70, seed=2)  # other batch sizes, fewer visits
+        base = quick_config(epochs=3)
+
+        def cfg(mode, lam, seed):
+            return replace(base, baseline_mode=mode, seed=seed,
+                           penalty=replace(base.penalty, lam=lam))
+
+        runs = {
+            # Two batches per visit, each shared by two members.
+            "paired": [Run(*a, cfg("cv_sequential", 0.0, 4)), Run(*a, cfg("c3", 0.1, 4)),
+                       Run(*b, cfg("cv_sequential", 0.0, 5)), Run(*b, cfg("c3", 0.05, 5))],
+            # Unequal sharing (one batch per member), and a run in a group of
+            # its own that drops out after 2 of the 3 batches.
+            "mixed": [Run(*a, cfg("c3", 0.1, 4)), Run(*c, cfg("c3", 0.1, 6)),
+                      Run(*b, cfg("cv_sequential", 0.0, 5)), Run(*a, cfg("cv_sequential", 0.0, 7)),
+                      Run(*a, cfg("c3", 0.05, 8))],
+        }[stack]
+        for got, run in zip(train_members(runs, SPEC), runs, strict=True):
+            assert_same_run(got, shift_correction(*run[:3], SPEC, run.cfg))
 
     def test_empty_stack_rejected(self):
         train, val, plan = drift_setup(k=2, n_per_batch=60)
         with pytest.raises(TrainerError, match="at least one"):
-            train_members(train, val, plan, SPEC, [])
+            train_members([], SPEC)
 
     def test_one_diverging_member_raises_numerics_error(self):
         train, val, plan = drift_setup(k=2, n_per_batch=60)
@@ -326,7 +374,7 @@ class TestStackedMembers:
             with pytest.raises(NumericsError, match="non-finite"):
                 shift_correction(train, val, plan, SPEC, diverging)
             with pytest.raises(NumericsError, match="non-finite"):
-                train_members(train, val, plan, SPEC, cfgs[:-1] + [diverging])
+                train_members(shared_runs(train, val, plan, cfgs[:-1] + [diverging]), SPEC)
 
 
 class TestNonFiniteTraining:

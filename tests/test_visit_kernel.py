@@ -8,6 +8,8 @@ from fishershift.numerics import (
     MlpSpec,
     NumericsError,
     OptimizerConfig,
+    forward,
+    forward_stack,
     init_optimizer_state,
     init_params,
     optimizer_step,
@@ -153,3 +155,76 @@ def test_layout_mismatch_rejected():
     opt_state = init_optimizer_state(OptimizerConfig(), params.size)
     with pytest.raises(NumericsError, match="layout"):
         train_visit(TABULAR, (params,), (opt_state,), x, y, 32)
+
+
+def member_batches(spec, rows, blocks):
+    """``blocks`` batches of ``rows`` rows, each drawn from its own seed."""
+    return [batch(spec, rows, seed=20 + d) for d in range(blocks)]
+
+
+@pytest.mark.parametrize("spec", [TABULAR, DEEP, NO_BIAS], ids=["tabular", "deep", "no_bias"])
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+@pytest.mark.parametrize("penalty", ["empty", "sum", "mean"])
+@pytest.mark.parametrize("rows", [96, 77], ids=["even", "ragged"])
+@pytest.mark.parametrize(
+    "members, blocks", [(1, 1), (3, 3), (4, 4), (4, 2)], ids=["M1", "M3", "M4", "M4-D2"]
+)
+@pytest.mark.parametrize("form", ["array", "list"])
+def test_per_member_inputs_match_each_members_own_visit(
+    spec, kind, penalty, rows, members, blocks, form
+):
+    # D = M gives every member its own batch; M4-D2 shares each of two
+    # batches between two consecutive members.
+    penalties = member_penalties(spec, penalty, members)
+    batches = member_batches(spec, rows, blocks)
+    own = [batches[j * blocks // members] for j in range(members)]
+    opt_cfg = OptimizerConfig(kind=kind, learning_rate=0.05)
+    starts = []
+    for seed, ((state, cfg), (x, y)) in enumerate(zip(penalties, own), start=3):
+        params = init_params(spec, seed)
+        opt_state = init_optimizer_state(opt_cfg, params.size)
+        starts.append(reference_visit(spec, params, opt_state, x, y, 32, state, cfg)[:2])
+    params = tuple(p for p, _ in starts)
+    opt_states = tuple(o for _, o in starts)
+
+    xs, ys = [x for x, _ in batches], [y for _, y in batches]
+    if form == "array":
+        xs, ys = np.stack(xs), np.stack(ys)
+    term = penalty_term([s for s, _ in penalties], [c for _, c in penalties], params)
+    got_p, got_opt, got_loss = train_visit(spec, params, opt_states, xs, ys, 32, term)
+
+    for i, ((state, cfg), (x, y)) in enumerate(zip(penalties, own)):
+        want_p, want_opt, want_loss = reference_visit(
+            spec, params[i], opt_states[i], x, y, 32, state, cfg
+        )
+        assert np.array_equal(got_p[i].values, want_p.values)
+        assert np.array_equal(got_opt[i].m, want_opt.m)
+        assert np.array_equal(got_opt[i].v, want_opt.v)
+        assert got_opt[i].step_count == want_opt.step_count
+        assert got_loss[i] == want_loss
+
+
+@pytest.mark.parametrize("spec", [TABULAR, DEEP, NO_BIAS], ids=["tabular", "deep", "no_bias"])
+@pytest.mark.parametrize("members, blocks", [(3, 3), (4, 2)], ids=["M3", "M4-D2"])
+def test_forward_stack_takes_per_member_inputs(spec, members, blocks):
+    params = tuple(init_params(spec, seed) for seed in range(members))
+    xs = [x for x, _ in member_batches(spec, 33, blocks)]
+    logits = forward_stack(spec, params, np.stack(xs))
+    assert np.array_equal(logits, forward_stack(spec, params, xs))
+    for j, member in enumerate(params):
+        assert np.array_equal(logits[j], forward(spec, member, xs[j * blocks // members]))
+
+
+def test_per_member_input_shapes_checked():
+    params = init_params(TABULAR, 0)
+    opt_state = init_optimizer_state(OptimizerConfig(), params.size)
+    (x, y), (x2, y2) = member_batches(TABULAR, 64, 2)
+    stack, states = (params,) * 3, (opt_state,) * 3
+    with pytest.raises(NumericsError, match="do not divide"):
+        train_visit(TABULAR, stack, states, [x, x2], [y, y2], 32)
+    with pytest.raises(NumericsError, match="blocks of that shape"):
+        train_visit(TABULAR, stack[:2], states[:2], [x, x2[:60]], [y, y2[:60]], 32)
+    with pytest.raises(NumericsError, match="labels per input block"):
+        train_visit(TABULAR, stack[:2], states[:2], [x, x2], y, 32)
+    with pytest.raises(NumericsError, match="labels per input block"):
+        train_visit(TABULAR, stack[:1], states[:1], x, y[:63], 32)
