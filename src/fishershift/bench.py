@@ -9,7 +9,7 @@ and trains ``cv_independent`` once (``trainer.shift_correction``). Then
 ``cv_sequential`` and the penalised trainer at every distinct lambda, for
 every repetition, train once each, together as one stack
 (``trainer.train_members``): the baselines do not depend on lambda, and
-stacked runs may differ in mode, lambda, seed and data. ``jobs`` cuts the
+any runs may share a stack. ``jobs`` (at least 1) cuts the
 repetitions into chunks, one stack per chunk, in parallel processes; the
 report bytes do not depend on it. Every lambda row of the split shares the
 baseline outcomes, averaged over repetitions.
@@ -414,6 +414,8 @@ def _execute(source, proto, train_cfg, spec, lambdas, samples, reference, jobs):
     is checked before each split, and an exhausted budget skips all of its
     rows.
     """
+    if jobs < 1:
+        raise BenchError(f"jobs must be >= 1, got {jobs}")
     started = time.monotonic()
     rows = []
     pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None

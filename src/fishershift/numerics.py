@@ -11,15 +11,14 @@ the softmax and the one backprop routine work on a stack of M models whose
 flat vectors are the rows of one (M, P) matrix, with batched products;
 ``forward``, ``loss_and_gradient`` and ``score_square_mean`` are their M=1
 case, and the backprop serves both the gradient and the squared scores. The
-input is one batch shared by every member, or D batches for D equal groups
-of consecutive members (D = M: a batch per member); inside, the members are
-viewed as (D, M/D) and each batch broadcasts over its group, so every array
-is (D, M/D, rows, width). ``train_visit``, the one step kernel, runs every
-minibatch step of a batch visit for all M members in lockstep, updating
-private buffers in place. Per member it performs the same floating-point
-operations in the same order as the pure functions on that member's own
-batch, so each member's results are bit-identical to them and to a run of
-that member alone.
+input is one batch shared by every member or one batch per member, as a (1
+or M, rows, features) array that broadcasts against the (M, fan_in, fan_out)
+weights, so every later array is (M, rows, width). ``train_visit``, the one
+step kernel, runs every minibatch step of a batch visit for all M members in
+lockstep, updating private buffers in place. Per member it performs the same
+floating-point operations in the same order as the pure functions on that
+member's own batch, so each member's results are bit-identical to them and
+to a run of that member alone.
 
 The module also holds the serialisation helpers that the modules above it
 share: JSON field checks, the parameter-layout JSON codec, the canonical
@@ -331,59 +330,57 @@ def init_params(spec: MlpSpec, seed: int) -> ParameterVector:
 
 
 def _input_blocks(spec: MlpSpec, x, members: int) -> list[np.ndarray]:
-    """The input blocks of ``x``, float64 (rows, features) arrays.
-
-    A 2-D array is one block, shared by all ``members``. A 3-D array or a
-    list of 2-D arrays holds D blocks of one shape, one per group of M/D
-    consecutive members, so D must divide M; D = M gives every member its
-    own input. Blocks are views of ``x`` where its dtype allows.
-    """
+    """The input blocks of ``x``, float64 (rows, features) arrays: a 2-D
+    array is one block, shared by all ``members``; a list holds one block
+    per member (or one for all), all of one shape. Blocks are views of ``x``
+    where its dtype allows."""
     if isinstance(x, (list, tuple)):
         blocks = [np.asarray(block, dtype=np.float64) for block in x]
+        if not blocks or len(blocks) not in (1, members):
+            raise NumericsError(f"{len(blocks)} input blocks for {members} members")
     else:
-        x = np.asarray(x, dtype=np.float64)
-        blocks = [x] if x.ndim == 2 else list(x) if x.ndim == 3 else []
-    if not blocks or any(b.ndim != 2 or b.shape != blocks[0].shape for b in blocks):
-        raise NumericsError("input must be 2-D (rows, features), or blocks of that shape")
+        blocks = [np.asarray(x, dtype=np.float64)]
+    if any(b.ndim != 2 or b.shape != blocks[0].shape for b in blocks):
+        raise NumericsError("input must be 2-D (rows, features), or a list of such blocks")
     if blocks[0].shape[1] != spec.input_dim:
         raise NumericsError(
             f"input has {blocks[0].shape[1]} features, spec expects {spec.input_dim}"
         )
-    if members % len(blocks):
-        raise NumericsError(f"{len(blocks)} input blocks do not divide {members} members")
     return blocks
 
 
 def _block_rows(blocks: list[np.ndarray], start: int, stop: int, out=None) -> np.ndarray:
-    """Rows ``start:stop`` (within bounds) of every block as one (D, 1,
+    """Rows ``start:stop`` (within bounds) of every block as one (1 or M,
     rows, features) array: a view of a lone block, else a copy (into
     ``out``, if given)."""
     if len(blocks) == 1:
-        return blocks[0][None, None, start:stop]
+        return blocks[0][None, start:stop]
     if out is None:
-        out = np.empty((len(blocks), 1, stop - start, blocks[0].shape[1]))
-    for d, block in enumerate(blocks):
-        out[d, 0] = block[start:stop]
+        out = np.empty((len(blocks), stop - start, blocks[0].shape[1]))
+    for m, block in enumerate(blocks):
+        out[m] = block[start:stop]
     return out
 
 
 def _check_labels(labels, blocks: int, rows: int, classes: int) -> np.ndarray:
-    """``labels`` of ``blocks`` inputs of ``rows`` rows: (rows,) for one
-    input, (D, rows) or a list of D label vectors for D; returned as (D,
-    rows)."""
-    labels = np.asarray(labels)
+    """The labels of ``blocks`` input blocks of ``rows`` rows each: (rows,)
+    for one block, or a list of one such vector per block; returned as
+    (blocks, rows)."""
+    if rows < 1:
+        raise NumericsError("a batch needs at least one row")
+    listed = isinstance(labels, (list, tuple)) and all(np.shape(y) == (rows,) for y in labels)
+    labels = np.asarray(labels) if blocks == 1 or listed else np.empty(0)
     if labels.shape not in ((blocks, rows), (rows,) if blocks == 1 else None):
-        raise NumericsError(f"expected {rows} labels per input block, got shape {labels.shape}")
+        raise NumericsError(f"expected {rows} labels for each of {blocks} input block(s)")
     if labels.min() < 0 or labels.max() >= classes:
         raise NumericsError(f"label out of range [0, {classes})")
     return labels.reshape(blocks, rows)
 
 
-def _row_offsets(blocks: int, members: int, rows: int, classes: int) -> np.ndarray:
+def _row_offsets(members: int, rows: int, classes: int) -> np.ndarray:
     """Flat position of class 0 of every row of every member in a C-ordered
-    (D, M/D, rows, classes) array; adding a label gives its logit's position."""
-    member = np.arange(members).reshape(blocks, members // blocks, 1)
-    return (member * rows + np.arange(rows)) * classes
+    (M, rows, classes) array; adding a label gives its logit's position."""
+    return (np.arange(members)[:, None] * rows + np.arange(rows)) * classes
 
 
 class _Layer(NamedTuple):
@@ -426,26 +423,23 @@ def _layers_for(spec: MlpSpec, members) -> tuple[_Layer, ...]:
     return layers
 
 
-def _views(layers: tuple[_Layer, ...], values: np.ndarray, blocks: int) -> list:
+def _views(layers: tuple[_Layer, ...], values: np.ndarray) -> list:
     """Per-layer (weight, bias, transposed weight) views into the (M, P)
-    matrix ``values``, one member per row, split into ``blocks`` groups of
-    consecutive members to match the input blocks: weights (D, M/D, fan_in,
-    fan_out), biases (D, M/D, 1, fan_out). They track in-place updates of
-    ``values``."""
-    shape = (blocks, values.shape[0] // blocks)
+    matrix ``values``, one member per row: weights (M, fan_in, fan_out),
+    biases (M, 1, fan_out). They track in-place updates of ``values``."""
     views = []
     for layer in layers:
-        w = values[:, layer.weight].reshape(*shape, *layer.shape)
-        b = None if layer.bias is None else values[:, None, layer.bias].reshape(*shape, 1, -1)
+        w = values[:, layer.weight].reshape(-1, *layer.shape)
+        b = None if layer.bias is None else values[:, None, layer.bias]
         views.append((w, b, w.swapaxes(-1, -2)))
     return views
 
 
 def _forward_trace(layers, blocks, x: np.ndarray):
     """Each layer's input and pre-activation for every member; the last
-    pre-activation is the logits. The input blocks ``x`` (D, 1, rows,
-    features) broadcast over the members of their group; every later array
-    is (D, M/D, rows, width)."""
+    pre-activation is the logits. The input ``x`` (1 or M, rows, features)
+    broadcasts against the members' weights; every later array is (M, rows,
+    width)."""
     activations = [x]
     pre_acts = []
     h = x
@@ -460,7 +454,7 @@ def _forward_trace(layers, blocks, x: np.ndarray):
 
 
 def _backprop(layers, blocks, activations, pre_acts, delta, out_blocks, squared: bool):
-    """Propagate each member's logit-level ``delta`` (D, M/D, rows, classes)
+    """Propagate each member's logit-level ``delta`` (M, rows, classes)
     back through every layer into ``out_blocks``, the ``_views`` of an (M, P)
     output matrix; the products write straight into it.
 
@@ -499,15 +493,14 @@ def _stack(members) -> np.ndarray:
 def forward_stack(spec: MlpSpec, members, x) -> np.ndarray:
     """Logits of every member, shape (M, rows, output_classes).
 
-    ``x`` is (rows, features), shared by every member, or D such blocks
-    (a 3-D array or a list, copied into one), one per group of M/D
-    consecutive members.
+    ``x`` is (rows, features), shared by every member, or a list of M such
+    blocks (copied into one array), one per member.
     """
     blocks = _input_blocks(spec, x, len(members))
     layers = _layers_for(spec, members)
     x = _block_rows(blocks, 0, blocks[0].shape[0])
-    _, pre_acts = _forward_trace(layers, _views(layers, _stack(members), len(blocks)), x)
-    logits = pre_acts[-1].reshape(len(members), *pre_acts[-1].shape[2:])
+    _, pre_acts = _forward_trace(layers, _views(layers, _stack(members)), x)
+    logits = pre_acts[-1]
     if not np.isfinite(logits).all():
         raise NumericsError("non-finite logits in forward pass")
     return logits
@@ -537,7 +530,7 @@ def _softmax_cross_entropy(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean cross-entropy of already-checked labels per member, and the softmax rows.
 
-    ``logits`` is (D, M/D, rows, classes) and ``positions`` (D, M/D, rows)
+    ``logits`` is (M, rows, classes) and ``positions`` (M, rows)
     holds the flat position of each row's label logit (``_row_offsets`` plus
     the label). Reductions are called as ufuncs (``np.add.reduce`` for
     ``.sum()``, a sum over the count for ``.mean()``): the same rounding,
@@ -550,7 +543,7 @@ def _softmax_cross_entropy(
     # are contiguous, and numpy sums them pairwise, as it sums a single
     # member's 1-D block.
     picked = logp.take(positions)
-    loss = -(np.add.reduce(picked, axis=-1).reshape(-1) / positions.shape[-1])
+    loss = -(np.add.reduce(picked, axis=-1) / positions.shape[-1])
     if not all(map(math.isfinite, loss.tolist())):
         raise NumericsError("non-finite cross-entropy loss")
     return loss, np.exp(logp, out=logp)
@@ -566,8 +559,8 @@ def cross_entropy_loss(logits, labels) -> tuple[float, np.ndarray]:
         raise NumericsError("logits must be 2-D")
     n, c = logits.shape
     labels = _check_labels(labels, 1, n, c)
-    loss, prob = _softmax_cross_entropy(logits[None, None], _row_offsets(1, 1, n, c) + labels)
-    return float(loss[0]), prob[0, 0]
+    loss, prob = _softmax_cross_entropy(logits[None], _row_offsets(1, n, c) + labels)
+    return float(loss[0]), prob[0]
 
 
 def _loss_and_gradient_into(layers, blocks, x, positions, grad_blocks) -> np.ndarray:
@@ -588,8 +581,8 @@ def _single_batch(spec: MlpSpec, params: ParameterVector, x, labels):
     (x,) = _input_blocks(spec, x, 1)
     layers = _layers_for(spec, (params,))
     labels = _check_labels(labels, 1, x.shape[0], spec.output_classes)
-    positions = _row_offsets(1, 1, x.shape[0], spec.output_classes) + labels[:, None]
-    return layers, x[None, None], positions
+    positions = _row_offsets(1, x.shape[0], spec.output_classes) + labels
+    return layers, x[None], positions
 
 
 def loss_and_gradient(spec: MlpSpec, params: ParameterVector, x, labels):
@@ -598,7 +591,7 @@ def loss_and_gradient(spec: MlpSpec, params: ParameterVector, x, labels):
     values = params.values[None]  # read, never written
     grad = np.empty_like(values)
     loss = _loss_and_gradient_into(
-        layers, _views(layers, values, 1), x, positions, _views(layers, grad, 1)
+        layers, _views(layers, values), x, positions, _views(layers, grad)
     )
     if not np.isfinite(grad).all():
         raise NumericsError("non-finite gradient")
@@ -609,14 +602,14 @@ def score_square_mean(spec: MlpSpec, params: ParameterVector, x, labels) -> np.n
     """Per-parameter mean of squared per-sample log-likelihood gradients."""
     layers, x, positions = _single_batch(spec, params, x, labels)
     values = params.values[None]  # read, never written
-    blocks = _views(layers, values, 1)
+    blocks = _views(layers, values)
     activations, pre_acts = _forward_trace(layers, blocks, x)
     _, prob = _softmax_cross_entropy(pre_acts[-1], positions)
     # Per-sample score at the logits: one-hot minus softmax.
     delta = np.negative(prob, out=prob)
     delta.reshape(-1)[positions] += 1.0
     acc = np.empty_like(values)
-    _backprop(layers, blocks, activations, pre_acts, delta, _views(layers, acc, 1), squared=True)
+    _backprop(layers, blocks, activations, pre_acts, delta, _views(layers, acc), squared=True)
     acc /= positions.shape[-1]
     if not np.isfinite(acc).all():
         raise NumericsError("non-finite score accumulation")
@@ -721,12 +714,12 @@ def train_visit(
     ``members`` and ``opt_states`` hold one parameter vector and one
     optimizer state per member; the states share one config and step count.
     ``x`` is the batch, (rows, features) with labels (rows,), shared by
-    every member; or D such batches (a 3-D array or a list) with labels (D,
-    rows), one per group of M/D consecutive members, D = M for a batch per
-    member. A shared batch's minibatches are views of it; D batches are
-    never stacked whole: each step copies only its minibatch rows of each
-    into one (D, rows, features) buffer. The members are stacked into one
-    (M, P) matrix, and each step runs the forward pass, softmax cross-entropy
+    every member; or a list of M such batches with a list of M label
+    vectors, one per member. A shared batch's minibatches are views of it;
+    per-member batches are never stacked whole: each step copies only its
+    minibatch rows of each into one (M, rows, features) buffer, so members
+    may pass the same array. The members are stacked into one (M, P)
+    matrix, and each step runs the forward pass, softmax cross-entropy
     backprop, the optional penalty and the optimizer update for all of them
     at once, with batched products, on buffers private to this call,
     updated in place. Per member, the floating-point operations and their
@@ -734,9 +727,9 @@ def train_visit(
     ``optimizer_step`` on its own batch, so each member's results are
     bit-identical to that composition.
 
-    Input shape and label range are checked once, for the whole batch that
-    every minibatch is sliced from; every member's cross-entropy loss and
-    combined gradient must be finite on every step.
+    Input shape, label range and ``minibatch_size >= 1`` are checked once,
+    for the whole batch that every minibatch is sliced from; every member's
+    cross-entropy loss and combined gradient must be finite on every step.
 
     ``penalty`` is ``None`` (plain cross-entropy for every member) or a pair
     ``(rows, term)``: ``rows`` indexes the penalised members, and
@@ -748,30 +741,31 @@ def train_visit(
     blocks = _input_blocks(spec, x, len(members))
     n = blocks[0].shape[0]
     labels = _check_labels(labels, len(blocks), n, spec.output_classes)
+    if minibatch_size < 1:
+        raise NumericsError(f"minibatch_size must be >= 1, got {minibatch_size}")
     layers = _layers_for(spec, members)
-    cfg, t = opt_states[0].config, opt_states[0].step_count
-    if len(opt_states) != len(members) or any(
-        s.config != cfg or s.step_count != t for s in opt_states
-    ):
+    shared = {(s.config, s.step_count) for s in opt_states}
+    if len(opt_states) != len(members) or len(shared) != 1:
         raise NumericsError("members need optimizer states of one config and step count")
+    ((cfg, t),) = shared
     if any(s.m.size != params.size for s, params in zip(opt_states, members)):
         raise NumericsError("optimizer state sized for a different model")
     values = _stack(members)
     m = np.stack([s.m for s in opt_states])
     v = np.stack([s.v for s in opt_states])
-    views = _views(layers, values, len(blocks))
+    views = _views(layers, values)
     grad = np.empty_like(values)
-    grad_views = _views(layers, grad, len(blocks))
+    grad_views = _views(layers, grad)
     classes = spec.output_classes
-    offsets = _row_offsets(len(blocks), len(members), minibatch_size, classes)
-    buffer = None  # D inputs: every step copies its rows of each into one buffer
+    offsets = _row_offsets(len(members), minibatch_size, classes)
+    buffer = None  # per-member inputs: every step copies its rows of each into one buffer
     losses = []
     penalised, term = (None, None) if penalty is None else penalty
     for start in range(0, n, minibatch_size):
-        yb = labels[:, None, start:start + minibatch_size]
+        yb = labels[:, start:start + minibatch_size]
         rows = yb.shape[-1]
         if rows < minibatch_size:  # the last, shorter minibatch
-            offsets, buffer = _row_offsets(len(blocks), len(members), rows, classes), None
+            offsets, buffer = _row_offsets(len(members), rows, classes), None
         xb = buffer = _block_rows(blocks, start, start + rows, buffer)
         loss = _loss_and_gradient_into(layers, views, xb, offsets + yb, grad_views)
         if term is not None:

@@ -10,19 +10,18 @@ batch from the seeded initialisation.
 
 Within a run everything is strictly sequential; information only ever flows
 from earlier batches to later ones. The one training loop steps a stack of
-members, each with its own data, validation set, plan, seed and sequence of
-batch visits; visit v of every member trains on that member's v-th batch.
-``train_members`` stacks runs that differ only in mode (``c3`` or
-``cv_sequential``), penalty strength, seed and data. ``shift_correction``
-trains one run: ``c3`` and ``cv_sequential`` as one member, ``cv_independent``
-as one member per batch. Each visit, the members whose batches have equal
-sizes step through one ``numerics.train_visit`` call, those sharing a batch
-on one input block, and the members of each validation set are evaluated in
-one stacked forward pass. Each member's trace is bit-identical to a run of
-it alone. ``train_visit`` works on buffers private to the visit; the
-parameters it hands back are fresh ``ParameterVector``s that the Fisher
-estimate, the penalty anchor, evaluation and the trace all share, and that
-nothing writes to afterwards.
+members, each with its own data, validation set, plan, config and sequence
+of batch visits; visit v of every member trains on that member's v-th batch.
+A run is one member, or for ``cv_independent`` one member per batch.
+``shift_correction`` trains one run, ``train_members`` any runs as one stack.
+Each visit, the members whose batch sizes, minibatch sizes, optimizer
+configs and step counts agree step through one ``numerics.train_visit``
+call, and the members of each validation set are evaluated in one stacked
+forward pass. Each member's trace is bit-identical to a run of it alone.
+``train_visit`` works on buffers private to the visit; the parameters it
+hands back are fresh ``ParameterVector``s that the Fisher estimate, the
+penalty anchor, evaluation and the trace all share, and that nothing writes
+to afterwards.
 
 A lambda sweep (``bench``) trains ``cv_independent`` once per (split,
 repetition), and ``cv_sequential`` with every ``c3`` lambda of every
@@ -253,6 +252,18 @@ def _visits(cfg: TrainConfig, plan: FragmentationPlan) -> list[tuple[tuple[int, 
     return [tuple((epoch, i) for epoch in epochs for i in batches)]
 
 
+def _members(spec, run: Run, params=None, opt_state=None, state=None,
+             keep_history=False) -> list[_Member]:
+    """The members that train ``run``, from the given state or else the
+    seeded initialisation."""
+    params = init_params(spec, run.cfg.seed) if params is None else params
+    if opt_state is None:
+        opt_state = init_optimizer_state(run.cfg.optimizer, params.size)
+    state = PenaltyState.empty() if state is None else state
+    return [_Member(run, visits, params, opt_state, state, history=[] if keep_history else None)
+            for visits in _visits(run.cfg, run.plan)]
+
+
 def _trace(members) -> RunTrace:
     """The trace of one run trained as ``members``: their records, in member
     order, and the last member's final state."""
@@ -299,19 +310,9 @@ def shift_correction(
             "cv_independent re-initialises the model before every batch; "
             "it cannot resume from initial_* state"
         )
-    params = initial_params if initial_params is not None else init_params(spec, cfg.seed)
-    opt_state = (
-        initial_optimizer_state
-        if initial_optimizer_state is not None
-        else init_optimizer_state(cfg.optimizer, params.size)
-    )
-    state = initial_penalty_state if initial_penalty_state is not None else PenaltyState.empty()
-    run = Run(dataset, validation, plan, cfg)
-    members = [
-        _Member(run, visits, params, opt_state, state,
-                 history=None if batch_hook is None else [])
-        for visits in _visits(cfg, plan)
-    ]
+    members = _members(spec, Run(dataset, validation, plan, cfg), initial_params,
+                       initial_optimizer_state, initial_penalty_state,
+                       keep_history=batch_hook is not None)
     _train(spec, members)
     if batch_hook is not None:
         for member in members:
@@ -324,80 +325,47 @@ def train_members(runs, spec: MlpSpec) -> tuple[RunTrace, ...]:
     """Train several runs in lockstep, as one stack; one trace per run.
 
     Each run (a ``Run``) brings its own data, validation set, plan and
-    config; the configs may differ only in ``baseline_mode`` (``c3`` or
-    ``cv_sequential``), ``penalty.lam`` and ``seed``. Every member makes its
-    own epoch-major visits of its own batches from its own seeded
-    initialisation, and each visit steps the members whose batches have
-    equal sizes through one ``numerics.train_visit`` call. Each trace is
-    bit-identical to the run's own ``shift_correction``. ``cv_independent``
-    is a stack of its own, so it trains through ``shift_correction``.
+    config, and any runs may share a stack: their modes, penalties,
+    optimizers, epochs, minibatch sizes and seeds are free. Every run trains
+    from its own seeded initialisation, and each trace is bit-identical to
+    the run's own ``shift_correction``.
     """
     runs = tuple(runs)
     if not runs:
         raise TrainerError("train_members needs at least one run")
-    first = runs[0].cfg
-    for run in runs:
-        cfg = run.cfg
-        if cfg.baseline_mode == "cv_independent":
-            raise TrainerError("cv_independent trains alone, through shift_correction")
-        shared = replace(cfg, baseline_mode=first.baseline_mode, seed=first.seed,
-                         penalty=replace(cfg.penalty, lam=first.penalty.lam))
-        if shared != first:
-            raise TrainerError(
-                "stacked configs may differ only in baseline_mode, penalty.lam and seed"
-            )
-    members = []
-    for run in runs:
-        params = init_params(spec, run.cfg.seed)
-        (visits,) = _visits(run.cfg, run.plan)
-        members.append(_Member(run, visits, params,
-                               init_optimizer_state(first.optimizer, params.size),
-                               PenaltyState.empty()))
-    _train(spec, members)
-    return tuple(_trace([member]) for member in members)
-
-
-def _batches(members, v: int):
-    """The batches of visit ``v`` of ``members`` as ``train_visit`` takes them.
-
-    The members' batches have equal row counts. Returns the members
-    reordered so that those sharing a batch are consecutive, and the lists
-    of batch features and labels: one batch for every member when they all
-    share it, D when D batches are shared by equally many members each, and
-    one per member otherwise.
-    """
-    by_batch = {}
-    for member in members:
-        by_batch.setdefault(member.batch_key(v), []).append(member)
-    groups = list(by_batch.values())
-    if len({len(group) for group in groups}) > 1:
-        groups = [[member] for member in members]
-    batches = [group[0].batch(v) for group in groups]
-    ordered = [member for group in groups for member in group]
-    return ordered, [x for x, _ in batches], [y for _, y in batches]
+    stacks = [_members(spec, run) for run in runs]
+    _train(spec, [member for stack in stacks for member in stack])
+    return tuple(_trace(stack) for stack in stacks)
 
 
 def _step(spec, members, v: int) -> None:
     """Visit ``v`` of ``members``, whose batches have equal sizes and whose
-    optimizers have taken equally many steps: one ``train_visit`` call, then
-    each ``c3`` member absorbs its own batch's Fisher diagonal."""
-    members, xs, ys = _batches(members, v)
+    minibatch size, optimizer config and step count agree: one
+    ``train_visit`` call, then each ``c3`` member absorbs its own batch's
+    Fisher diagonal. Each distinct batch is fetched once; the call gets it
+    alone when every member shares it, else one entry per member."""
+    fetched = {}
+    for member in members:
+        key = member.batch_key(v)
+        if key not in fetched:
+            fetched[key] = member.batch(v)
+    batches = [fetched[member.batch_key(v)] for member in members]
+    x, y = batches[0] if len(fetched) == 1 else zip(*batches)
     params = [member.params for member in members]
     params, opt_states, losses = train_visit(
-        spec, params, [member.opt_state for member in members], xs, ys,
+        spec, params, [member.opt_state for member in members], x, y,
         members[0].run.cfg.minibatch_size,
         penalty_term([member.state for member in members],
                      [member.penalty for member in members], params),
     )
-    group = len(members) // len(xs)
-    for j, (member, member_params, opt_state, loss) in enumerate(
-        zip(members, params, opt_states, losses)
+    for member, member_params, opt_state, loss, (bx, by) in zip(
+        members, params, opt_states, losses, batches
     ):
         member.params, member.opt_state, member.loss = member_params, opt_state, loss
         # One Fisher pass per penalised member: on a whole batch, stacked
         # passes save no time.
         if member.run.cfg.baseline_mode == "c3":
-            fisher = empirical_fisher_diagonal(spec, member_params, xs[j // group], ys[j // group])
+            fisher = empirical_fisher_diagonal(spec, member_params, bx, by)
             member.state = absorb_batch(member.state, fisher, member_params, member.penalty)
 
 
@@ -405,13 +373,12 @@ def _train(spec, members) -> None:
     """The one training loop, over a stack of ``_Member``s.
 
     Every member carries its own run (data, validation set, plan, config)
-    and visit sequence, and the members agree on epochs, minibatch size and
-    optimizer. Visit v of each member trains on its v-th batch: the members
-    whose batches have equal sizes (and whose optimizers have taken equally
-    many steps) step through one ``train_visit`` call, those sharing a batch
-    on one input block. Every member is then evaluated, one stacked forward
-    pass per validation set. Members with fewer visits drop out when done.
-    A member that keeps a ``history`` gets its parameters after each visit.
+    and visit sequence. Visit v of each member trains on its v-th batch: the
+    members whose batches have equal sizes and whose minibatch size,
+    optimizer config and step count agree step through one ``train_visit``
+    call. Every member is then evaluated, one stacked forward pass per
+    validation set. Members with fewer visits drop out when done. A member
+    that keeps a ``history`` gets its parameters after each visit.
     """
     kl_back = {}
     for member in members:
@@ -428,7 +395,9 @@ def _train(spec, members) -> None:
         steps = {}
         for member in active:
             size = member.run.plan.batch_indices(member.visits[v][1]).size
-            steps.setdefault((size, member.opt_state.step_count), []).append(member)
+            opt = member.opt_state
+            key = size, member.run.cfg.minibatch_size, opt.config, opt.step_count
+            steps.setdefault(key, []).append(member)
         for group in steps.values():
             _step(spec, group, v)
         validations = {}

@@ -243,6 +243,20 @@ class TestLambdaSweep:
         with pytest.raises(BenchError, match=">= 0"):
             lambda_sweep(RECIPE, (-0.1,), small_protocol(), small_config(), tabular_spec(4))
 
+    @pytest.mark.parametrize("entry", ["run_protocol", "lambda_sweep"])
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected_before_any_work(self, monkeypatch, entry, jobs):
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(bench, "_run_reps", no_work)
+        args = RECIPE, small_protocol(), small_config(), tabular_spec(4)
+        with pytest.raises(BenchError, match="jobs must be >= 1"):
+            if entry == "run_protocol":
+                run_protocol(*args, jobs=jobs)
+            else:
+                lambda_sweep(RECIPE, (0.1,), *args[1:], jobs=jobs)
+
     def test_default_grid_comes_from_protocol(self):
         report, series = lambda_sweep(
             RECIPE, None, small_protocol(repetitions=1), small_config(), tabular_spec(4),

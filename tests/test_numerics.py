@@ -113,6 +113,10 @@ class TestCrossEntropy:
         with pytest.raises(NumericsError, match="label out of range"):
             cross_entropy_loss(np.zeros((2, 3)), np.array([0, 3]))
 
+    def test_empty_batch_rejected(self):
+        with pytest.raises(NumericsError, match="at least one row"):
+            cross_entropy_loss(np.zeros((0, 3)), np.zeros(0, dtype=int))
+
     def test_loss_nonnegative(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

@@ -322,20 +322,25 @@ class TestStackedMembers:
         assert stacked[1].records == stacked[0].records
         assert not np.array_equal(stacked[3].final_params.values, stacked[0].final_params.values)
 
-    @pytest.mark.parametrize(
-        "change, message",
-        [(dict(epochs=2), "differ only"),
-         (dict(optimizer=OptimizerConfig(learning_rate=0.5)), "differ only"),
-         (dict(penalty=PenaltyConfig(accumulation="mean")), "differ only"),
-         (dict(baseline_mode="cv_independent"), "trains alone")],
-        ids=["epochs", "optimizer", "accumulation", "cv_independent"],
-    )
-    def test_members_may_differ_only_in_mode_and_lambda(self, change, message):
-        # And in seed and data: see test_runs_with_their_own_seeds_and_data_*.
-        train, val, plan = drift_setup(k=2, n_per_batch=60)
+    def test_runs_with_any_configs_equal_their_own_runs(self):
+        # A run with fewer epochs drops out early, one with another
+        # accumulation steps with the others, and ones with another learning
+        # rate or minibatch size step in groups of their own. A
+        # cv_independent run is one member per batch, here on data shared
+        # with other runs and on data of its own.
+        train, val, plan = drift_setup(k=3, n_per_batch=80)
+        other = drift_setup(k=2, n_per_batch=70, seed=2)
         cfgs = member_configs()
-        with pytest.raises(TrainerError, match=message):
-            train_members(shared_runs(train, val, plan, cfgs + [replace(cfgs[0], **change)]), SPEC)
+        c3 = cfgs[-1]
+        runs = shared_runs(train, val, plan, cfgs + [
+            replace(c3, epochs=2),
+            replace(c3, optimizer=OptimizerConfig(learning_rate=0.5)),
+            replace(c3, penalty=replace(c3.penalty, accumulation="mean")),
+            replace(c3, minibatch_size=20),
+            replace(c3, baseline_mode="cv_independent", seed=3),
+        ]) + [Run(*other, replace(c3, baseline_mode="cv_independent", epochs=4, seed=5))]
+        for got, run in zip(train_members(runs, SPEC), runs, strict=True):
+            assert_same_run(got, shift_correction(*run[:3], SPEC, run.cfg))
 
     @pytest.mark.parametrize("stack", ["paired", "mixed"])
     def test_runs_with_their_own_seeds_and_data_equal_their_own_runs(self, stack):

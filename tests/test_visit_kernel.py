@@ -126,6 +126,8 @@ def test_members_must_share_the_optimizer_step():
     other = init_optimizer_state(OptimizerConfig(learning_rate=0.5), params.size)
     with pytest.raises(NumericsError, match="one config"):
         train_visit(TABULAR, (params, params), (fresh, other), x, y, 32)
+    with pytest.raises(NumericsError, match="one config"):
+        train_visit(TABULAR, (params,), (), x, y, 32)
 
 
 def test_nan_feature_raises():
@@ -167,17 +169,23 @@ def member_batches(spec, rows, blocks):
 @pytest.mark.parametrize("penalty", ["empty", "sum", "mean"])
 @pytest.mark.parametrize("rows", [96, 77], ids=["even", "ragged"])
 @pytest.mark.parametrize(
-    "members, blocks", [(1, 1), (3, 3), (4, 4), (4, 2)], ids=["M1", "M3", "M4", "M4-D2"]
+    "order",
+    [(0,), (0, 1, 2), (0, 1, 2, 3), (0, 0, 1, 1), (0, 1, 0, 1)],
+    ids=["M1", "M3", "M4", "M4-pairs", "M4-repeated"],
 )
-@pytest.mark.parametrize("form", ["array", "list"])
-def test_per_member_inputs_match_each_members_own_visit(
-    spec, kind, penalty, rows, members, blocks, form
-):
-    # D = M gives every member its own batch; M4-D2 shares each of two
-    # batches between two consecutive members.
+@pytest.mark.parametrize("form", ["contiguous", "strided"])
+def test_per_member_inputs_match_each_members_own_visit(spec, kind, penalty, rows, order, form):
+    # ``order`` names each member's batch. M4-pairs passes two batches, each
+    # as the same array for two neighbouring members; M4-repeated for two
+    # members that are not neighbours, as the trainer may. A strided batch
+    # is every other row of a longer array, a view that is not contiguous.
+    members = len(order)
     penalties = member_penalties(spec, penalty, members)
-    batches = member_batches(spec, rows, blocks)
-    own = [batches[j * blocks // members] for j in range(members)]
+    batches = member_batches(spec, rows, max(order) + 1)
+    if form == "strided":
+        batches = [(np.repeat(x, 2, axis=0)[::2], np.repeat(y, 2)[::2]) for x, y in batches]
+        assert not batches[0][0].flags.c_contiguous
+    own = [batches[d] for d in order]
     opt_cfg = OptimizerConfig(kind=kind, learning_rate=0.05)
     starts = []
     for seed, ((state, cfg), (x, y)) in enumerate(zip(penalties, own), start=3):
@@ -187,9 +195,7 @@ def test_per_member_inputs_match_each_members_own_visit(
     params = tuple(p for p, _ in starts)
     opt_states = tuple(o for _, o in starts)
 
-    xs, ys = [x for x, _ in batches], [y for _, y in batches]
-    if form == "array":
-        xs, ys = np.stack(xs), np.stack(ys)
+    xs, ys = [x for x, _ in own], [y for _, y in own]
     term = penalty_term([s for s, _ in penalties], [c for _, c in penalties], params)
     got_p, got_opt, got_loss = train_visit(spec, params, opt_states, xs, ys, 32, term)
 
@@ -205,14 +211,18 @@ def test_per_member_inputs_match_each_members_own_visit(
 
 
 @pytest.mark.parametrize("spec", [TABULAR, DEEP, NO_BIAS], ids=["tabular", "deep", "no_bias"])
-@pytest.mark.parametrize("members, blocks", [(3, 3), (4, 2)], ids=["M3", "M4-D2"])
-def test_forward_stack_takes_per_member_inputs(spec, members, blocks):
-    params = tuple(init_params(spec, seed) for seed in range(members))
-    xs = [x for x, _ in member_batches(spec, 33, blocks)]
-    logits = forward_stack(spec, params, np.stack(xs))
-    assert np.array_equal(logits, forward_stack(spec, params, xs))
+@pytest.mark.parametrize(
+    "order", [(0,), (0, 1, 2), (0, 1, 2, 3), (0, 0, 1, 1)], ids=["M1", "M3", "M4", "M4-pairs"]
+)
+def test_forward_stack_takes_per_member_inputs(spec, order):
+    params = tuple(init_params(spec, seed) for seed in range(len(order)))
+    batches = [x for x, _ in member_batches(spec, 33, max(order) + 1)]
+    xs = [batches[d] for d in order]
+    logits = forward_stack(spec, params, xs)
     for j, member in enumerate(params):
-        assert np.array_equal(logits[j], forward(spec, member, xs[j * blocks // members]))
+        assert np.array_equal(logits[j], forward(spec, member, xs[j]))
+    # A list of one block is shared, like the bare block.
+    assert np.array_equal(forward_stack(spec, params, xs[:1]), forward_stack(spec, params, xs[0]))
 
 
 def test_per_member_input_shapes_checked():
@@ -220,11 +230,27 @@ def test_per_member_input_shapes_checked():
     opt_state = init_optimizer_state(OptimizerConfig(), params.size)
     (x, y), (x2, y2) = member_batches(TABULAR, 64, 2)
     stack, states = (params,) * 3, (opt_state,) * 3
-    with pytest.raises(NumericsError, match="do not divide"):
-        train_visit(TABULAR, stack, states, [x, x2], [y, y2], 32)
-    with pytest.raises(NumericsError, match="blocks of that shape"):
+    # One block per member, or one for all: neither 0 nor 2 for 3 members.
+    for xs, ys in (([], []), ([x, x2], [y, y2])):
+        with pytest.raises(NumericsError, match="input blocks for 3 members"):
+            train_visit(TABULAR, stack, states, xs, ys, 32)
+    with pytest.raises(NumericsError, match="list of such blocks"):
         train_visit(TABULAR, stack[:2], states[:2], [x, x2[:60]], [y, y2[:60]], 32)
-    with pytest.raises(NumericsError, match="labels per input block"):
-        train_visit(TABULAR, stack[:2], states[:2], [x, x2], y, 32)
-    with pytest.raises(NumericsError, match="labels per input block"):
+    with pytest.raises(NumericsError, match="must be 2-D"):
+        train_visit(TABULAR, stack[:2], states[:2], np.stack([x, x2]), [y, y2], 32)
+    # One label vector per input block, each as long as the blocks.
+    for ys in (y, [y], [y, y2, y], [y, y2[:60]], np.stack([y, y2])):
+        with pytest.raises(NumericsError, match="labels for each of 2 input block"):
+            train_visit(TABULAR, stack[:2], states[:2], [x, x2], ys, 32)
+    with pytest.raises(NumericsError, match="labels for each of 1 input block"):
         train_visit(TABULAR, stack[:1], states[:1], x, y[:63], 32)
+
+
+def test_empty_batch_and_minibatch_size_checked():
+    params = init_params(TABULAR, 0)
+    opt_state = init_optimizer_state(OptimizerConfig(), params.size)
+    x, y = batch(TABULAR, 64, seed=1)
+    with pytest.raises(NumericsError, match="at least one row"):
+        train_visit(TABULAR, (params,), (opt_state,), x[:0], y[:0], 32)
+    with pytest.raises(NumericsError, match="minibatch_size must be >= 1"):
+        train_visit(TABULAR, (params,), (opt_state,), x, y, 0)
