@@ -11,8 +11,10 @@ every repetition, train once each, together as one stack
 (``trainer.train_members``): the baselines do not depend on lambda, and
 any runs may share a stack. ``jobs`` (at least 1) cuts the
 repetitions into chunks, one stack per chunk, in parallel processes; the
-report bytes do not depend on it. Every lambda row of the split shares the
-baseline outcomes, averaged over repetitions.
+report bytes do not depend on it. The split's outcomes are one table, per
+repetition: ``cv_independent``, ``cv_sequential``, then ``c3`` at each
+distinct lambda, each K batch accuracies and the final accuracy. Every lambda
+row reads its three columns from it, averaged over repetitions.
 A time budget is checked before each split, and an exhausted budget skips
 the whole split: all of its lambda rows. Reports store the raw per-batch
 accuracy columns next to every derived statistic so a verifier can recompute
@@ -248,9 +250,9 @@ def batchwise_split(
     return train, val, plan
 
 
-def _accuracies(trace) -> tuple[list[float], float]:
-    """Per-batch and final validation accuracy of one run, in percent."""
-    return [a * 100.0 for a in trace.per_batch_accuracies()], trace.final_accuracy() * 100.0
+def _accuracies(trace) -> list[float]:
+    """Per-batch accuracies, then the final accuracy, of one run, in percent."""
+    return [a * 100.0 for a in trace.per_batch_accuracies()] + [trace.final_accuracy() * 100.0]
 
 
 def _rep_splits(source, proto: ProtocolSpec, k: int, seed: int, samples: int) -> list[tuple]:
@@ -274,62 +276,40 @@ def _rep_splits(source, proto: ProtocolSpec, k: int, seed: int, samples: int) ->
     return splits
 
 
-def _run_reps(args) -> list[list[dict]]:
-    """The repetitions ``seeds`` of one split; shaped for executor.map.
+def _run_reps(args) -> np.ndarray:
+    """The outcome table of the repetitions ``seeds`` of one split; shaped
+    for executor.map.
 
     Every repetition materialises its data, validation set and plan once
     per split (one, or one per foldwise rotation) and trains
     ``cv_independent`` on each through ``shift_correction``. Then
-    ``cv_sequential`` and one ``c3`` per distinct lambda, on every split of
-    every repetition, train together as one ``train_members`` stack: the
-    baselines do not depend on lambda. Returns, per repetition, one
-    ``{mode: (batch accuracies, final accuracy)}`` outcome per entry of
-    ``lambdas``, averaged over the repetition's splits, each holding the
-    shared baseline outcomes.
+    ``cv_sequential`` and ``c3`` at each of the distinct ``lambdas``, on
+    every split of every repetition, train together as one
+    ``train_members`` stack. Returns a (repetitions, 2 + L, K + 1) array:
+    columns ``cv_independent``, ``cv_sequential``, then ``c3`` per lambda,
+    each the K batch accuracies and the final accuracy, in percent,
+    averaged over the repetition's splits.
     """
     (source, proto, train_cfg, spec, k, lambdas, seeds, samples) = args
     splits, independent = [], []
     for seed in seeds:
         for train, val, plan in _rep_splits(source, proto, k, seed, samples):
             splits.append((seed, train, val, plan))
-            independent.append(shift_correction(
+            independent.append(_accuracies(shift_correction(
                 train, val, plan, spec, _mode_config(train_cfg, "cv_independent", 0.0, seed)
-            ))
-    distinct = tuple(dict.fromkeys(lambdas))
-    modes = [("cv_sequential", 0.0)] + [("c3", lam) for lam in distinct]
+            )))
+    modes = [("cv_sequential", 0.0)] + [("c3", lam) for lam in lambdas]
     stacked = train_members(
         [Run(train, val, plan, _mode_config(train_cfg, mode, lam, seed))
          for seed, train, val, plan in splits for mode, lam in modes],
         spec,
     )
-    per_split = []
-    for s, cv_independent in enumerate(independent):
-        sequential, *c3 = stacked[s * len(modes):(s + 1) * len(modes)]
-        baselines = {"cv_sequential": _accuracies(sequential),
-                     "cv_independent": _accuracies(cv_independent)}
-        by_lambda = {lam: _accuracies(trace) for lam, trace in zip(distinct, c3)}
-        per_split.append([{"c3": by_lambda[lam], **baselines} for lam in lambdas])
-    count = len(per_split) // len(seeds)
-    return [_average(per_split[r * count:(r + 1) * count], len(lambdas))
-            for r in range(len(seeds))]
-
-
-def _average(outcomes, count: int) -> list[dict]:
-    """The outcome of each of ``count`` lambdas averaged over the splits of
-    one repetition (the foldwise rotations; one batchwise split)."""
-    averaged = []
-    for j in range(count):
-        outcome = {}
-        for mode in RUN_MODES:
-            sums = np.zeros(len(outcomes[0][j][mode][0]))
-            final = 0.0
-            for split in outcomes:
-                accs, split_final = split[j][mode]
-                sums += np.asarray(accs)
-                final += split_final
-            outcome[mode] = ((sums / len(outcomes)).tolist(), final / len(outcomes))
-        averaged.append(outcome)
-    return averaged
+    table = np.concatenate([
+        np.asarray(independent)[:, None],
+        np.asarray([_accuracies(trace) for trace in stacked]).reshape(len(splits), len(modes), -1),
+    ], axis=1).reshape(len(seeds), len(splits) // len(seeds), len(modes) + 1, -1)
+    # Along a non-final axis numpy adds the splits one at a time, in order.
+    return table.sum(axis=1) / table.shape[1]
 
 
 def _mode_config(train_cfg: TrainConfig, mode: str, lam: float, seed: int) -> TrainConfig:
@@ -354,15 +334,16 @@ def _splits(proto: ProtocolSpec) -> tuple[tuple, ...]:
     return ((None, proto.folds - 1),)
 
 
-def _assemble_row(label, fraction, k, lam, seeds, config_hash, rep_outcomes, reference):
-    batch_acc = {}
-    final_acc = {}
-    for mode in RUN_MODES:
-        stacked = np.asarray([out[mode][0] for out in rep_outcomes])
-        batch_acc[mode] = tuple(stacked.mean(axis=0).tolist())
-        final_acc[mode] = float(np.mean([out[mode][1] for out in rep_outcomes]))
-    mean = {mode: float(np.mean(batch_acc[mode])) for mode in RUN_MODES}
-    variance = {mode: population_variance(batch_acc[mode]) for mode in RUN_MODES}
+def _row(label, fraction, k, lam, config_hash, seeds=(), outcomes=None, reference=None):
+    """The report row of one (split, lambda). ``outcomes`` is a (repetitions,
+    3, K + 1) table whose columns follow ``RUN_MODES``; without it the row is
+    skipped."""
+    tables = {} if outcomes is None else dict(zip(RUN_MODES, outcomes.transpose(1, 0, 2)))
+    # Rounding: batch accuracies reduce along axis 0, the final one is a 1-D mean.
+    batch_acc = {mode: tuple(t[:, :k].mean(axis=0).tolist()) for mode, t in tables.items()}
+    final_acc = {mode: float(np.mean(t[:, k])) for mode, t in tables.items()}
+    mean = {mode: float(np.mean(accs)) for mode, accs in batch_acc.items()}
+    variance = {mode: population_variance(accs) for mode, accs in batch_acc.items()}
     return ReportRow(
         label=label,
         fraction=fraction,
@@ -374,29 +355,10 @@ def _assemble_row(label, fraction, k, lam, seeds, config_hash, rep_outcomes, ref
         final_acc=final_acc,
         mean=mean,
         variance=variance,
-        delta1=delta_value(mean["c3"], mean["cv_independent"]),
+        delta1=delta_value(mean["c3"], mean["cv_independent"]) if mean else None,
         delta2=delta_value(mean["c3"], reference) if reference is not None else None,
-        delta3=delta_value(mean["c3"], mean["cv_sequential"]),
-        skipped=False,
-    )
-
-
-def _skipped_row(label, fraction, k, lam, config_hash) -> ReportRow:
-    return ReportRow(
-        label=label,
-        fraction=fraction,
-        batch_count=k,
-        lam=lam,
-        seeds=(),
-        config_hash=config_hash,
-        batch_acc={},
-        final_acc={},
-        mean={},
-        variance={},
-        delta1=None,
-        delta2=None,
-        delta3=None,
-        skipped=True,
+        delta3=delta_value(mean["c3"], mean["cv_sequential"]) if mean else None,
+        skipped=outcomes is None,
     )
 
 
@@ -417,6 +379,7 @@ def _execute(source, proto, train_cfg, spec, lambdas, samples, reference, jobs):
     if jobs < 1:
         raise BenchError(f"jobs must be >= 1, got {jobs}")
     started = time.monotonic()
+    distinct = tuple(dict.fromkeys(lambdas))
     rows = []
     pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     try:
@@ -428,22 +391,21 @@ def _execute(source, proto, train_cfg, spec, lambdas, samples, reference, jobs):
                 proto.time_budget_s is not None
                 and time.monotonic() - started > proto.time_budget_s
             ):
-                rows.extend(_skipped_row(label, fraction, k, lam, config_hash) for lam in lambdas)
+                rows.extend(_row(label, fraction, k, lam, config_hash) for lam in lambdas)
                 continue
             seeds = [derive_seed(train_cfg.seed, key, r) for r in range(proto.repetitions)]
             tasks = [
-                (source, proto, train_cfg, spec, k, tuple(lambdas), chunk, samples)
+                (source, proto, train_cfg, spec, k, distinct, chunk, samples)
                 for chunk in _chunks(seeds, jobs)
             ]
             run = map if pool is None else pool.map
-            per_rep = [outcome for chunk in run(_run_reps, tasks) for outcome in chunk]
-            for j, lam in enumerate(lambdas):
-                rep_outcomes = [outcomes[j] for outcomes in per_rep]
-                rows.append(
-                    _assemble_row(
-                        label, fraction, k, lam, seeds, config_hash, rep_outcomes, reference
-                    )
-                )
+            table = np.concatenate(list(run(_run_reps, tasks)))
+            # A row's columns, in RUN_MODES order: c3 at lam, cv_sequential, cv_independent.
+            rows.extend(
+                _row(label, fraction, k, lam, config_hash, seeds,
+                     table[:, [2 + distinct.index(lam), 1, 0]], reference)
+                for lam in lambdas
+            )
     finally:
         if pool is not None:
             pool.shutdown()
@@ -542,6 +504,8 @@ def verify_report(report: ExperimentReport, tol: float = 1e-9) -> None:
     for row in report.rows:
         if row.skipped:
             continue
+        if row.batch_count < 1:
+            raise BenchError(f"{row.label}: batch_count must be >= 1, got {row.batch_count}")
         for column in ("batch_acc", "final_acc", "mean", "variance"):
             if set(getattr(row, column)) != set(RUN_MODES):
                 raise BenchError(f"{row.label}: {column} must hold exactly the modes {RUN_MODES}")

@@ -84,8 +84,6 @@ def add_source_flags(parser: argparse.ArgumentParser) -> None:
                         help="CSV label column name or 0-based index")
     parser.add_argument("--no-header", action="store_true",
                         help="treat the CSV as headerless")
-    parser.add_argument("--samples-per-batch", type=int, default=500,
-                        help="rows generated per batch for --synth")
 
 
 def parse_label_column(raw: str):
@@ -101,8 +99,6 @@ def resolve_source(args, parser: argparse.ArgumentParser):
         parser.error("exactly one data source is required (--synth, --csv, or --idx-images)")
     if args.idx_images and not args.idx_labels:
         parser.error("--idx-images requires --idx-labels")
-    if args.samples_per_batch < 2:
-        parser.error("--samples-per-batch must be >= 2")
     if args.synth:
         return ShiftRecipe.from_json_file(args.synth)
     if args.csv:
@@ -164,6 +160,8 @@ def validate_common(args, parser) -> None:
 
 def cmd_train(args, parser) -> int:
     validate_common(args, parser)
+    if args.samples_per_batch < 2:
+        parser.error("--samples-per-batch must be >= 2")
     source = resolve_source(args, parser)
 
     k = args.batches
@@ -273,6 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="number of ordered batches "
                               "(default: the recipe's batch count, or 5 for file sources)")
     p_train.add_argument("--baseline", choices=RUN_MODES, default="c3", help="training mode")
+    p_train.add_argument("--samples-per-batch", type=int, default=500,
+                         help="rows generated per batch for --synth")
     p_train.add_argument("--out", required=True, help="run trace JSON path")
 
     p_sweep = sub.add_parser("sweep", formatter_class=fmt,

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 from dataclasses import replace
@@ -16,6 +17,8 @@ from fishershift.bench import (
     ReportRow,
     delta_value,
     derive_seed,
+    drift_benchmark_config,
+    drift_benchmark_recipe,
     emit_report,
     emit_series_csv,
     format_delta,
@@ -367,6 +370,48 @@ class TestSharedBaselines:
     def test_duplicate_splits_rejected(self):
         with pytest.raises(BenchError, match="distinct"):
             ProtocolSpec(splits=((0.5, 2), (0.5, 2)))
+
+
+class TestPinnedReports:
+    """Report bytes of grids the golden sweep cannot see: many repetitions,
+    many foldwise rotations, several splits and duplicate lambdas. Averages
+    over splits add them one at a time, in order, and the final accuracy
+    over repetitions is a 1-D mean; another reduction order changes these
+    digests."""
+
+    RECIPE = drift_benchmark_recipe(3)
+    CONFIG = replace(drift_benchmark_config(0.1, seed=3), epochs=2)
+
+    @pytest.mark.parametrize(
+        "proto, lambdas, jobs, digest",
+        [
+            (ProtocolSpec(mode="foldwise", folds=9, repetitions=9), (0.0, 0.05, 0.05, 0.1), 1,
+             "0d7b01a090ba973dead16e08e25fd27076932b113de58ce231dbf29df67449b5"),
+            (ProtocolSpec(splits=((0.5, 2), (0.25, 4), (0.1, 10)), repetitions=10),
+             (0.1, 0.0, 0.1), 1,
+             "29d7dfd4dd2d04f8129ba7e78b52ce1d188b77240ca87ddb5ad10f48993496b4"),
+            (ProtocolSpec(splits=((0.5, 2), (0.25, 4), (0.1, 10)), repetitions=10),
+             (0.1, 0.0, 0.1), 3,
+             "29d7dfd4dd2d04f8129ba7e78b52ce1d188b77240ca87ddb5ad10f48993496b4"),
+            (ProtocolSpec(mode="foldwise", folds=3, repetitions=8), (0.2,), 2,
+             "d1ff02ee44173f9e8dcfb6409004aef280aa2efb71952c97ed9595b92eb16028"),
+        ],
+        ids=["foldwise9-jobs1", "batchwise3-jobs1", "batchwise3-jobs3", "foldwise3-jobs2"],
+    )
+    def test_sweep_bytes_are_pinned(self, proto, lambdas, jobs, digest):
+        report, _ = lambda_sweep(
+            self.RECIPE, lambdas, proto, self.CONFIG, tabular_spec(10), samples=600, jobs=jobs
+        )
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+    def test_protocol_bytes_are_pinned(self):
+        report = run_protocol(
+            self.RECIPE, ProtocolSpec(splits=((0.5, 2),), repetitions=9), self.CONFIG,
+            tabular_spec(10), samples=600, reference_accuracy=70.0,
+        )
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+            "78d2e2bab1a4b8fe5808800fb0e13312a9b40232b9ab77c665d7e67c950540c0"
+        )
 
 
 class TestEmission:

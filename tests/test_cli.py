@@ -177,6 +177,14 @@ class TestSweep:
         assert [row["lambda"] for row in payload["rows"]] == [0.01, 0.04, 0.07, 0.1]
         assert (tmp_path / "report.series.csv").exists()
 
+    def test_samples_per_batch_is_not_a_sweep_flag(self, recipe_path, tmp_path, capsys):
+        # sweep sizes its data by --samples alone.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep", "--synth", recipe_path, "--samples-per-batch", "7",
+                    "--out", str(tmp_path / "r.json"))
+        assert exc.value.code == 2
+        assert "--samples-per-batch" in capsys.readouterr().err
+
     def test_empty_values_exit_2(self, recipe_path, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("sweep", "--synth", recipe_path, "--values", "",
@@ -322,6 +330,24 @@ class TestReport:
         capsys.readouterr()
         assert run_cli("report", "--in", bad) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_row_without_batches_exits_1_with_one_line(self, recipe_path, tmp_path):
+        def edit(payload):
+            row = payload["rows"][0]
+            row["batch_count"] = 0
+            row["batch_acc"] = {mode: [] for mode in row["batch_acc"]}
+
+        bad = self.tampered(recipe_path, tmp_path, edit)
+        # A subprocess, so a numpy warning about an empty mean would reach stderr.
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run(
+            [sys.executable, "-m", "fishershift.cli", "report", "--in", bad],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            "error: Training data = 50% , batches = 2: batch_count must be >= 1, got 0"
+        ]
 
     def test_bad_path_exits_1(self, tmp_path, capsys):
         assert run_cli("report", "--in", str(tmp_path / "nope.json")) == 1
