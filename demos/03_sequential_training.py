@@ -29,7 +29,7 @@ K = 5
 recipe = drift_benchmark_recipe(batch_count=K)
 dataset, _ = synth_shift(recipe, 1000, seed=7)
 train, validation, _, _ = train_validation_split(dataset, 0.2, seed=7)
-plan = fragment(train, K, shuffle=False)
+plan = fragment(train, K)  # K consecutive batches: the rows keep their causal order
 spec = tabular_spec(recipe.features)
 
 print("== Pairwise batch-distribution KL (rows drift away from columns) ==")

@@ -41,6 +41,7 @@ from .data import (
     FragmentationPlan,
     ShiftRecipe,
     fragment,
+    row_order,
     shuffle_rows,
     synth_shift,
     train_validation_split,
@@ -239,15 +240,15 @@ def batchwise_split(
 ) -> tuple[Dataset, Dataset, FragmentationPlan]:
     """(train, validation, plan) of one batchwise run: ``source`` (a recipe
     drawn as ``k`` batches of ``samples_per_batch`` rows, or a dataset) loses
-    a seeded holdout, and the rest becomes ``k`` ordered batches."""
+    a seeded holdout, and the rest, shuffled if ``shuffle_rows`` says so,
+    becomes ``k`` ordered batches."""
     dataset = _materialise(source, k, samples_per_batch, seed)
     train, val, train_idx, val_idx = train_validation_split(
-        dataset, validation_fraction, seed=seed
+        dataset, validation_fraction, seed=seed, shuffle=shuffle_rows(source, shuffle)
     )
     if np.intersect1d(train_idx, val_idx).size:
         raise BenchError("validation rows overlap the training rows")
-    plan = fragment(train, k, seed=seed, shuffle=shuffle_rows(source, shuffle))
-    return train, val, plan
+    return train, val, fragment(train, k)
 
 
 def _accuracies(trace) -> list[float]:
@@ -258,20 +259,26 @@ def _accuracies(trace) -> list[float]:
 def _rep_splits(source, proto: ProtocolSpec, k: int, seed: int, samples: int) -> list[tuple]:
     """The (train, validation, plan) splits of one repetition: one batchwise
     split (``batchwise_split``, as ``train`` makes it), or one per foldwise
-    rotation, each fold held out once."""
+    rotation, each fold held out once. Folds are consecutive runs of the
+    dataset's rows, shuffled first if ``shuffle_rows`` says so."""
+    count, unit = (k, "batches") if proto.mode == "batchwise" else (proto.folds, "folds")
+    if isinstance(source, ShiftRecipe) and samples // count < 2:
+        raise BenchError(f"samples {samples} gives fewer than 2 rows to each of {count} {unit}")
     if proto.mode == "batchwise":
         return [batchwise_split(
-            source, k, max(2, samples // k), proto.validation_fraction, proto.shuffle, seed
+            source, k, samples // k, proto.validation_fraction, proto.shuffle, seed
         )]
-    dataset = _materialise(source, proto.folds, max(2, samples // proto.folds), seed)
-    folds = fragment(dataset, proto.folds, seed=seed, shuffle=shuffle_rows(source, proto.shuffle))
+    dataset = _materialise(source, proto.folds, samples // proto.folds, seed)
+    order = row_order(dataset.n, seed, shuffle_rows(source, proto.shuffle))
+    folds = fragment(dataset, proto.folds)
+    sizes = folds.batch_sizes()
     splits = []
     for rot in range(proto.folds):
-        train_rows = [folds.batch_indices(i) for i in range(proto.folds) if i != rot]
+        held_out = folds.batch(rot)
         splits.append((
-            dataset.subset(np.concatenate(train_rows)),
-            dataset.subset(folds.batch_indices(rot)),
-            FragmentationPlan.from_sizes([rows.size for rows in train_rows]),
+            dataset.subset(np.delete(order, held_out)),
+            dataset.subset(order[held_out]),
+            FragmentationPlan(sizes[:rot] + sizes[rot + 1:]),
         ))
     return splits
 

@@ -205,9 +205,13 @@ def cmd_sweep(args, parser) -> int:
                   shuffle=SHUFFLE_CHOICES[args.shuffle])
     if args.protocol == "foldwise":
         proto = ProtocolSpec(mode="foldwise", folds=args.folds, **common)
+        count, unit = args.folds, "folds"
     else:
         fraction = round(1.0 / args.batches, 4)
         proto = ProtocolSpec(mode="batchwise", splits=((fraction, args.batches),), **common)
+        count, unit = args.batches, "batches"
+    if isinstance(source, ShiftRecipe) and args.samples // count < 2:
+        parser.error(f"--samples {args.samples} gives fewer than 2 rows to each of {count} {unit}")
     if isinstance(source, Dataset):
         input_dim, classes = source.dim, source.class_count
     else:

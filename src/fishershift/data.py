@@ -1,9 +1,11 @@
 """Dataset ingestion, causal fragmentation, and synthetic drift generators.
 
 Datasets are immutable (features, labels, class count) triples; a written
-CSV always has a header row. A fragmentation plan is an ordered partition
-into near-equal batches; the batch order is fixed at plan creation and never
-re-sorted, which is what makes the batch sequence causal.
+CSV always has a header row. A fragmentation plan is only its consecutive
+near-equal batch sizes: a run's training rows are put in batch order once,
+when the holdout is split off, so batch i is the rows after batches 0..i-1,
+read as a view. The batch order is never re-sorted, which is what makes the
+batch sequence causal.
 Synthetic recipes produce Gaussian-mixture classification data whose feature
 distribution drifts batch by batch while the label rule stays tied to the
 generative class.
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import struct
 from dataclasses import asdict, dataclass
 
@@ -67,17 +68,12 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def rows(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Features and labels of the rows at ``indices``. A contiguous
-        ascending run of rows, such as a batch of an unshuffled plan, comes
-        back as read-only views without a copy; other indices as copies."""
-        indices = np.asarray(indices)
-        if indices.size and np.all(np.diff(indices) == 1):
-            window = slice(int(indices[0]), int(indices[0]) + indices.size)
-            features, labels = self.features[window], self.labels[window]
-            features.flags.writeable = labels.flags.writeable = False
-            return features, labels
-        return self.features[indices], self.labels[indices]
+    def rows(self, window: slice) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only views of the features and labels of the rows in
+        ``window``, such as a plan's batch."""
+        features, labels = self.features[window], self.labels[window]
+        features.flags.writeable = labels.flags.writeable = False
+        return features, labels
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         return Dataset(self.features[indices], self.labels[indices], self.class_count)
@@ -85,56 +81,41 @@ class Dataset:
 
 @dataclass(frozen=True)
 class FragmentationPlan:
-    """Ordered partition of row indices into contiguous causal batches.
+    """Consecutive causal batches of a dataset's rows, by their sizes.
 
-    ``order`` is the (possibly shuffled) row permutation the plan was built
-    over; ``boundaries`` are half-open ranges into that order. Batch i
+    Batch i is the ``sizes[i]`` rows that follow batches 0..i-1, so batch i
     strictly precedes batch j for i < j.
     """
 
-    batch_count: int
-    order: np.ndarray
-    boundaries: tuple[tuple[int, int], ...]
+    sizes: tuple[int, ...]
 
-    def __post_init__(self):
-        order = np.asarray(self.order, dtype=np.int64)
-        if self.batch_count != len(self.boundaries):
-            raise DataError("boundary count must equal batch_count")
-        object.__setattr__(self, "order", order)
+    @property
+    def batch_count(self) -> int:
+        return len(self.sizes)
 
-    @classmethod
-    def from_sizes(cls, sizes, order=None) -> "FragmentationPlan":
-        """Consecutive batches of ``sizes`` rows over ``order`` (default: the identity)."""
-        stops = list(itertools.accumulate(sizes))
-        order = np.arange(stops[-1]) if order is None else order
-        return cls(len(stops), order, tuple(zip([0] + stops[:-1], stops)))
-
-    def batch_indices(self, i: int) -> np.ndarray:
-        start, stop = self.boundaries[i]
-        return self.order[start:stop]
+    def batch(self, i: int) -> slice:
+        """The row range of batch ``i``."""
+        start = sum(self.sizes[:i])
+        return slice(start, start + self.sizes[i])
 
     def batch_sizes(self) -> tuple[int, ...]:
-        return tuple(stop - start for start, stop in self.boundaries)
+        return self.sizes
 
 
-def fragment(dataset: Dataset, k: int, seed: int = 0, shuffle: bool = False) -> FragmentationPlan:
-    """Split a dataset into ``k`` near-equal ordered batches.
+def fragment(dataset: Dataset, k: int) -> FragmentationPlan:
+    """Cut a dataset's rows, in their order, into ``k`` near-equal batches.
 
     Remainder rows go to the earliest batches, so sizes differ by at most one
-    and never increase along the sequence. Shuffling (seeded) happens before
-    the split; leave it off when the row order itself carries the drift being
-    studied.
+    and never increase along the sequence. The rows are not reordered: a
+    shuffle, if wanted, happens in ``train_validation_split``.
     """
     n = dataset.n
     if k < 1:
         raise DataError(f"batch count must be >= 1, got {k}")
     if k > n:
         raise DataError(f"batch count {k} exceeds dataset size {n}")
-    order = np.arange(n, dtype=np.int64)
-    if shuffle:
-        np.random.default_rng(seed).shuffle(order)
     base, extra = divmod(n, k)
-    return FragmentationPlan.from_sizes([base + (i < extra) for i in range(k)], order)
+    return FragmentationPlan(tuple(base + (i < extra) for i in range(k)))
 
 
 @dataclass(frozen=True)
@@ -240,6 +221,12 @@ def shuffle_rows(source, choice: bool | None) -> bool:
     return not isinstance(source, ShiftRecipe) if choice is None else choice
 
 
+def row_order(n: int, seed: int, shuffle: bool) -> np.ndarray:
+    """The order ``n`` rows take in their batches: as they come, or with
+    ``shuffle`` permuted by ``np.random.default_rng(seed)``."""
+    return np.random.default_rng(seed).permutation(n) if shuffle else np.arange(n)
+
+
 def _canonical_labels(labels: np.ndarray) -> tuple[np.ndarray, int]:
     """Dense class indices in first-appearance order, and the class count.
 
@@ -276,7 +263,7 @@ def synth_shift(recipe: ShiftRecipe, n_per_batch: int, seed: int) -> tuple[Datas
         labels.append(y)
     all_labels, class_count = _canonical_labels(np.concatenate(labels))
     dataset = Dataset(np.vstack(features), all_labels, class_count)
-    plan = fragment(dataset, recipe.batch_count, seed=seed, shuffle=False)
+    plan = fragment(dataset, recipe.batch_count)
     return dataset, plan
 
 
@@ -368,8 +355,8 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise DataError(
             f"truncated payload in {images_path}: expected {expected} bytes, got {len(payload)}"
         )
-    pixels = np.frombuffer(payload[:expected], dtype=np.uint8).astype(np.float64)
-    features = (pixels / 255.0).reshape(count, rows * cols)
+    pixels = np.frombuffer(payload, dtype=np.uint8, count=expected)
+    features = np.divide(pixels, 255.0, dtype=np.float64).reshape(count, rows * cols)
 
     (label_count,), label_payload = _read_idx(labels_path, IDX_LABEL_MAGIC, 1)
     if label_count != count:
@@ -387,22 +374,25 @@ def batch_moments(dataset: Dataset, plan: FragmentationPlan, batch_index: int) -
     Variances are floored at a tiny positive value so the closed-form KL stays
     defined on constant features.
     """
-    indices = plan.batch_indices(batch_index)
-    if indices.size < 2:
+    x, _ = dataset.rows(plan.batch(batch_index))
+    if x.shape[0] < 2:
         raise DataError(f"batch {batch_index} has fewer than 2 samples")
-    x = dataset.features[indices]
     mean = x.mean(axis=0)
     variance = np.maximum(x.var(axis=0, ddof=1), VARIANCE_FLOOR)
     return GaussianMoments(mean, variance)
 
 
 def train_validation_split(
-    dataset: Dataset, fraction: float = 0.2, seed: int = 0
+    dataset: Dataset, fraction: float = 0.2, seed: int = 0, shuffle: bool = False
 ) -> tuple[Dataset, Dataset, np.ndarray, np.ndarray]:
-    """Seeded holdout split; training rows keep their original order.
+    """Seeded holdout split; the training rows come back in batch order
+    (``row_order``): their original order, or with ``shuffle`` a seeded
+    permutation of it (leave it off when the row order itself carries the
+    drift being studied).
 
-    Returns (train, validation, train_indices, validation_indices). The two
-    index sets partition the dataset, so disjointness is checkable by callers.
+    Returns (train, validation, train_indices, validation_indices);
+    ``train_indices`` follows the row order of ``train``. The two index sets
+    partition the dataset, so disjointness is checkable by callers.
     """
     if not 0.0 < fraction < 1.0:
         raise DataError("validation fraction must lie in (0, 1)")
@@ -414,7 +404,7 @@ def train_validation_split(
     picked = rng.permutation(n)[:n_val]
     val_mask = np.zeros(n, dtype=bool)
     val_mask[picked] = True
-    train_idx = np.flatnonzero(~val_mask)
+    train_idx = np.flatnonzero(~val_mask)[row_order(n - n_val, seed, shuffle)]
     val_idx = np.flatnonzero(val_mask)
     return (
         dataset.subset(train_idx),

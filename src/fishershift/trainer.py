@@ -11,8 +11,9 @@ batch from the seeded initialisation.
 Within a run everything is strictly sequential; information only ever flows
 from earlier batches to later ones. The one training loop steps a stack of
 members, each with its own data, validation set, plan, config and sequence
-of batch visits; visit v of every member trains on that member's v-th batch.
-A run is one member, or for ``cv_independent`` one member per batch.
+of batch visits; visit v of every member trains on that member's v-th batch,
+a read-only view of the run's rows, which come in batch order. A run is one
+member, or for ``cv_independent`` one member per batch.
 ``shift_correction`` trains one run, ``train_members`` any runs as one stack.
 Each visit, the members whose batch sizes, minibatch sizes, optimizer
 configs and step counts agree step through one ``numerics.train_visit``
@@ -238,8 +239,8 @@ class _Member:
         return id(self.run.dataset), id(self.run.plan), self.visits[v][1]
 
     def batch(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """The rows and labels of the batch of visit ``v``."""
-        return self.run.dataset.rows(self.run.plan.batch_indices(self.visits[v][1]))
+        """Read-only views of the rows and labels of the batch of visit ``v``."""
+        return self.run.dataset.rows(self.run.plan.batch(self.visits[v][1]))
 
 
 def _visits(cfg: TrainConfig, plan: FragmentationPlan) -> list[tuple[tuple[int, int], ...]]:
@@ -342,15 +343,11 @@ def _step(spec, members, v: int) -> None:
     """Visit ``v`` of ``members``, whose batches have equal sizes and whose
     minibatch size, optimizer config and step count agree: one
     ``train_visit`` call, then each ``c3`` member absorbs its own batch's
-    Fisher diagonal. Each distinct batch is fetched once; the call gets it
-    alone when every member shares it, else one entry per member."""
-    fetched = {}
-    for member in members:
-        key = member.batch_key(v)
-        if key not in fetched:
-            fetched[key] = member.batch(v)
-    batches = [fetched[member.batch_key(v)] for member in members]
-    x, y = batches[0] if len(fetched) == 1 else zip(*batches)
+    Fisher diagonal. The call gets the batch alone when every member
+    shares it, else one entry per member."""
+    batches = [member.batch(v) for member in members]
+    shared = len({member.batch_key(v) for member in members}) == 1
+    x, y = batches[0] if shared else zip(*batches)
     params = [member.params for member in members]
     params, opt_states, losses = train_visit(
         spec, params, [member.opt_state for member in members], x, y,
@@ -394,7 +391,7 @@ def _train(spec, members) -> None:
         active = [member for member in members if v < len(member.visits)]
         steps = {}
         for member in active:
-            size = member.run.plan.batch_indices(member.visits[v][1]).size
+            size = member.run.plan.batch_sizes()[member.visits[v][1]]
             opt = member.opt_state
             key = size, member.run.cfg.minibatch_size, opt.config, opt.step_count
             steps.setdefault(key, []).append(member)

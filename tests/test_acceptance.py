@@ -172,7 +172,7 @@ def test_criterion_05_reduction_invariant():
         recipe = drift_benchmark_recipe(batch_count=k)
         ds, _ = synth_shift(recipe, 1000 // k, seed=11)
         train, val, _, _ = train_validation_split(ds, 0.2, seed=11)
-        plan = fragment(train, k, shuffle=False)
+        plan = fragment(train, k)
         base = TrainConfig(epochs=3, minibatch_size=32, seed=11)
 
         snapshots = {"c3": [], "cv_sequential": []}
@@ -250,7 +250,7 @@ def run_drift_cell(k: int, lam: float, mode: str, seed: int):
     recipe = drift_benchmark_recipe(batch_count=k)
     ds, _ = synth_shift(recipe, 5000 // k, seed=seed)
     train, val, _, _ = train_validation_split(ds, 0.2, seed=seed)
-    plan = fragment(train, k, seed=seed, shuffle=False)
+    plan = fragment(train, k)
     cfg = replace(
         drift_benchmark_config(seed=seed),
         baseline_mode=mode,
@@ -409,8 +409,8 @@ def test_criterion_11_optional_mnist_desk_scale():
     spec = MlpSpec(input_dim=subset.dim, hidden_layers=((16, "relu"),), output_classes=10)
     gaps = []
     for seed in range(3):
-        train, val, _, _ = train_validation_split(subset, 0.2, seed=seed)
-        plan = fragment(train, 10, seed=seed, shuffle=True)
+        train, val, _, _ = train_validation_split(subset, 0.2, seed=seed, shuffle=True)
+        plan = fragment(train, 10)
         accs = {}
         for lam, mode in ((0.1, "c3"), (0.0, "cv_sequential")):
             cfg = TrainConfig(

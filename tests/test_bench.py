@@ -15,6 +15,7 @@ from fishershift.bench import (
     LAMBDA_GRID,
     ProtocolSpec,
     ReportRow,
+    batchwise_split,
     delta_value,
     derive_seed,
     drift_benchmark_config,
@@ -28,10 +29,10 @@ from fishershift.bench import (
     tabular_spec,
     verify_report,
 )
-from fishershift.data import ShiftRecipe
+from fishershift.data import ShiftRecipe, synth_shift
 from fishershift.numerics import OptimizerConfig
 from fishershift.penalty import PenaltyConfig
-from fishershift.trainer import TrainConfig
+from fishershift.trainer import TrainConfig, shift_correction
 
 RECIPE = ShiftRecipe(kind="mean_drift", batch_count=2, features=4, classes=2, delta=0.5)
 
@@ -156,6 +157,14 @@ class TestRunProtocol:
         assert all(row.skipped for row in report.rows)
         verify_report(report)  # skipped rows are ignored, not errors
 
+    @pytest.mark.parametrize(
+        "proto", [small_protocol(), ProtocolSpec(mode="foldwise", folds=3, repetitions=1)],
+        ids=["batchwise", "foldwise"],
+    )
+    def test_too_few_samples_per_batch_rejected(self, proto):
+        with pytest.raises(BenchError, match="samples 3 gives fewer than 2 rows"):
+            run_protocol(RECIPE, proto, small_config(), tabular_spec(4), samples=3)
+
     def test_infeasible_split_raises(self):
         proto = small_protocol(splits=((0.05, 20),))
         with pytest.raises(Exception):
@@ -195,15 +204,15 @@ class TestFoldwise:
 
         seed = bench.derive_seed(cfg.seed, f"foldwise:None:{folds - 1}", 0)
         ds, _ = synth_shift(dc_replace(RECIPE, batch_count=folds), 300 // folds, seed=seed)
-        fold_plan = fragment(ds, folds, seed=seed, shuffle=False)
+        fold_plan = fragment(ds, folds)
         sums = np.zeros(folds - 1)
         held_out = []
         for rot in range(folds):
-            held_out.append(fold_plan.batch_indices(rot))
-            val = ds.subset(fold_plan.batch_indices(rot))
-            train_rows = [fold_plan.batch_indices(i) for i in range(folds) if i != rot]
-            train = ds.subset(np.concatenate(train_rows))
-            plan = FragmentationPlan.from_sizes([r.size for r in train_rows])
+            held_out.append(np.r_[fold_plan.batch(rot)])
+            val = ds.subset(fold_plan.batch(rot))
+            others = [i for i in range(folds) if i != rot]
+            train = ds.subset(np.r_[tuple(fold_plan.batch(i) for i in others)])
+            plan = FragmentationPlan(tuple(fold_plan.batch_sizes()[i] for i in others))
             run_cfg = dc_replace(cfg, seed=seed, baseline_mode="c3")
             trace = shift_correction(train, val, plan, tabular_spec(4), run_cfg)
             sums += np.asarray(trace.per_batch_accuracies()) * 100.0
@@ -412,6 +421,51 @@ class TestPinnedReports:
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
             "78d2e2bab1a4b8fe5808800fb0e13312a9b40232b9ab77c665d7e67c950540c0"
         )
+
+
+class TestPinnedShuffledPaths:
+    """Output bytes of the shuffled row orders: a dataset source (shuffled
+    by default) under both protocols, and a train split with the shuffle
+    left to the source and forced on."""
+
+    CONFIG = replace(drift_benchmark_config(0.1, seed=3), epochs=2)
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return synth_shift(drift_benchmark_recipe(3), 200, seed=5)[0]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "proto, digest",
+        [
+            (ProtocolSpec(mode="foldwise", folds=3, repetitions=3),
+             "6ac3524533e836b263193896499708819e7b0a295150e7f2034ed5cad56254e2"),
+            (ProtocolSpec(splits=((0.25, 4),), repetitions=3),
+             "3cbb03a3dc848bcbb19da105c6b4113736857d22e45cfdacefe8ab720cdffad2"),
+        ],
+        ids=["foldwise3", "batchwise4"],
+    )
+    def test_dataset_sweep_bytes_are_pinned(self, dataset, proto, digest, jobs):
+        report, _ = lambda_sweep(dataset, (0.0, 0.1), proto, self.CONFIG, tabular_spec(10),
+                                 jobs=jobs)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "recipe_source, k, samples, shuffle, digest",
+        [
+            (False, 4, 0, None,
+             "568a0ad5649b895eb6ecfbc36e91d14035923e313c67c3dcf7bbc0ad91db16e1"),
+            (True, 3, 200, True,
+             "a482d019e93ca3d3960f21e153b9599302271fd5ddc2a835c21c7484fd9e5d62"),
+        ],
+        ids=["dataset-auto", "recipe-on"],
+    )
+    def test_shuffled_train_trace_bytes_are_pinned(self, dataset, recipe_source, k, samples,
+                                                  shuffle, digest):
+        source = drift_benchmark_recipe(3) if recipe_source else dataset
+        train, val, plan = batchwise_split(source, k, samples, 0.2, shuffle, 3)
+        trace = shift_correction(train, val, plan, tabular_spec(10), self.CONFIG)
+        assert hashlib.sha256(trace.to_json().encode()).hexdigest() == digest
 
 
 class TestEmission:

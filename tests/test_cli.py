@@ -185,6 +185,17 @@ class TestSweep:
         assert exc.value.code == 2
         assert "--samples-per-batch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ("--protocol", "foldwise", "--folds", "3", "--samples", "-100"),
+        ("--batches", "2", "--samples", "0"),
+    ], ids=["negative-foldwise", "zero-batchwise"])
+    def test_too_few_samples_exit_2(self, recipe_path, tmp_path, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep", "--synth", recipe_path, *flags, "--out", str(tmp_path / "r.json"))
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_empty_values_exit_2(self, recipe_path, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("sweep", "--synth", recipe_path, "--values", "",

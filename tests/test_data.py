@@ -6,6 +6,7 @@ import pytest
 from fishershift.data import (
     DataError,
     Dataset,
+    FragmentationPlan,
     ShiftRecipe,
     batch_moments,
     class_directions,
@@ -25,20 +26,13 @@ def toy_dataset(n=10, d=3, classes=2, seed=0):
 
 
 class TestRows:
-    def test_contiguous_rows_are_read_only_views(self):
+    def test_rows_are_read_only_views(self):
         ds = toy_dataset(n=12)
-        x, y = ds.rows(np.arange(3, 8))
+        x, y = ds.rows(slice(3, 8))
         assert np.shares_memory(x, ds.features) and np.shares_memory(y, ds.labels)
         assert not x.flags.writeable and not y.flags.writeable
         assert np.array_equal(x, ds.features[3:8]) and np.array_equal(y, ds.labels[3:8])
         assert ds.features.flags.writeable
-
-    @pytest.mark.parametrize("indices", [[3, 5, 6], [4, 3, 2], [0, 0, 1]])
-    def test_other_rows_are_copies(self, indices):
-        ds = toy_dataset(n=12)
-        x, y = ds.rows(np.array(indices))
-        assert not np.shares_memory(x, ds.features)
-        assert np.array_equal(x, ds.features[indices]) and np.array_equal(y, ds.labels[indices])
 
 
 class TestFragment:
@@ -54,23 +48,15 @@ class TestFragment:
         plan = fragment(toy_dataset(n=60000, d=1), 20)
         assert plan.batch_sizes() == tuple([3000] * 20)
 
-    def test_partition_property(self):
-        ds = toy_dataset(n=53)
-        for shuffle in (False, True):
-            plan = fragment(ds, 7, seed=3, shuffle=shuffle)
-            seen = np.concatenate([plan.batch_indices(i) for i in range(7)])
-            assert sorted(seen.tolist()) == list(range(53))
-            assert np.array_equal(seen, plan.order)
+    def test_batches_tile_the_rows_in_order(self):
+        plan = fragment(toy_dataset(n=53), 7)
+        assert plan.batch_count == 7
+        seen = np.concatenate([np.arange(53)[plan.batch(i)] for i in range(7)])
+        assert np.array_equal(seen, np.arange(53))
 
-    def test_unshuffled_order_is_identity(self):
-        plan = fragment(toy_dataset(n=12), 3, shuffle=False)
-        assert np.array_equal(plan.order, np.arange(12))
-
-    def test_shuffle_is_seeded(self):
-        ds = toy_dataset(n=40)
-        a = fragment(ds, 4, seed=9, shuffle=True)
-        b = fragment(ds, 4, seed=9, shuffle=True)
-        assert np.array_equal(a.order, b.order)
+    def test_batch_is_the_range_after_the_earlier_batches(self):
+        plan = FragmentationPlan((3, 2, 2))
+        assert [plan.batch(i) for i in range(3)] == [slice(0, 3), slice(3, 5), slice(5, 7)]
 
     def test_too_many_batches_rejected(self):
         with pytest.raises(DataError, match="exceeds"):
@@ -124,7 +110,7 @@ class TestSynthShift:
         ds, plan = synth_shift(recipe, 100, seed=4)
         ref = ShiftRecipe(kind="mean_drift", batch_count=3, features=5, delta=0.0)
         ds_ref, _ = synth_shift(ref, 100, seed=4)
-        first = plan.batch_indices(0)
+        first = plan.batch(0)
         assert np.array_equal(ds.features[first], ds_ref.features[first])
 
     def test_gaussian_corruption_variance_ramps(self):
@@ -328,6 +314,26 @@ class TestValidationSplit:
         assert set(train_idx) | set(val_idx) == set(range(50))
         assert set(train_idx) & set(val_idx) == set()
         assert np.all(np.diff(train_idx) > 0)
+
+    def test_shuffle_is_seeded_and_keeps_the_partition(self):
+        ds = toy_dataset(n=53)
+        plain = train_validation_split(ds, 0.2, seed=3)
+        a = train_validation_split(ds, 0.2, seed=3, shuffle=True)
+        b = train_validation_split(ds, 0.2, seed=3, shuffle=True)
+        other = train_validation_split(ds, 0.2, seed=4, shuffle=True)
+        assert np.array_equal(a[2], b[2]) and not np.array_equal(a[2], other[2])
+        assert sorted(a[2].tolist()) == plain[2].tolist()
+        assert np.array_equal(a[3], plain[3])
+        assert np.array_equal(a[0].features, ds.features[a[2]])
+        assert np.array_equal(a[0].labels, ds.labels[a[2]])
+
+    def test_shuffle_is_the_seeded_permutation_of_the_training_rows(self):
+        ds = toy_dataset(n=53)
+        plain = train_validation_split(ds, 0.2, seed=9)[2]
+        shuffled = train_validation_split(ds, 0.2, seed=9, shuffle=True)[2]
+        order = np.arange(plain.size)
+        np.random.default_rng(9).shuffle(order)
+        assert np.array_equal(shuffled, plain[order])
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(DataError, match="fraction"):

@@ -39,7 +39,7 @@ def drift_setup(k=3, n_per_batch=120, seed=0, delta=0.5):
     recipe = ShiftRecipe(kind="mean_drift", batch_count=k, features=4, delta=delta)
     ds, _ = synth_shift(recipe, n_per_batch, seed=seed)
     train, val, _, _ = train_validation_split(ds, 0.2, seed=seed)
-    plan = fragment(train, k, seed=seed, shuffle=False)
+    plan = fragment(train, k)
     return train, val, plan
 
 
@@ -64,7 +64,7 @@ class TestEvaluate:
                              separation=8.0)
         ds, _ = synth_shift(recipe, 500, seed=0)
         train, val, _, _ = train_validation_split(ds, 0.2, seed=0)
-        plan = fragment(train, 1, shuffle=False)
+        plan = fragment(train, 1)
         cfg = quick_config(epochs=30, optimizer=OptimizerConfig(learning_rate=0.02),
                            baseline_mode="cv_sequential")
         trace = shift_correction(train, val, plan, SPEC, cfg)
@@ -90,7 +90,7 @@ class TestReduction:
         # Manual loop over the same minibatch schedule.
         params = init_params(SPEC, cfg.seed)
         opt = init_optimizer_state(cfg.optimizer, params.size)
-        x, y = train.rows(plan.batch_indices(0))
+        x, y = train.rows(plan.batch(0))
         for _ in range(cfg.epochs):
             for start in range(0, x.shape[0], cfg.minibatch_size):
                 sl = slice(start, start + cfg.minibatch_size)
@@ -137,9 +137,9 @@ class TestDeterminismAndCausality:
 
         full = shift_correction(ds, val, plan, SPEC, cfg)
 
-        prefix_rows = np.concatenate([plan.batch_indices(i) for i in range(k_prefix)])
+        prefix_rows = np.r_[tuple(plan.batch(i) for i in range(k_prefix))]
         prefix_ds = ds.subset(prefix_rows)
-        prefix_plan = fragment(prefix_ds, k_prefix, shuffle=False)
+        prefix_plan = fragment(prefix_ds, k_prefix)
         prefix = shift_correction(prefix_ds, val, prefix_plan, SPEC, cfg)
 
         assert prefix.records == full.records[:k_prefix]
@@ -153,15 +153,15 @@ class TestDeterminismAndCausality:
 
         full = shift_correction(ds, val, plan, SPEC, cfg)
 
-        head_rows = np.concatenate([plan.batch_indices(i) for i in range(2)])
+        head_rows = np.r_[plan.batch(0), plan.batch(1)]
         head = shift_correction(
-            ds.subset(head_rows), val, fragment(ds.subset(head_rows), 2, shuffle=False), SPEC, cfg
+            ds.subset(head_rows), val, fragment(ds.subset(head_rows), 2), SPEC, cfg
         )
-        tail_rows = np.concatenate([plan.batch_indices(i) for i in range(2, 4)])
+        tail_rows = np.r_[plan.batch(2), plan.batch(3)]
         tail = shift_correction(
             ds.subset(tail_rows),
             val,
-            fragment(ds.subset(tail_rows), 2, shuffle=False),
+            fragment(ds.subset(tail_rows), 2),
             SPEC,
             cfg,
             initial_params=head.final_params,
@@ -201,7 +201,7 @@ class TestIndependentBaseline:
         recipe = ShiftRecipe(kind="mean_drift", batch_count=3, features=4, delta=0.0)
         ds, plan = synth_shift(recipe, 150, seed=6)
         train, val, _, _ = train_validation_split(ds, 0.2, seed=6)
-        plan = fragment(train, 3, shuffle=False)
+        plan = fragment(train, 3)
         cfg = quick_config(epochs=5, baseline_mode="cv_independent",
                            optimizer=OptimizerConfig(learning_rate=0.05))
         accs = shift_correction(train, val, plan, SPEC, cfg).per_batch_accuracies()
@@ -217,12 +217,10 @@ class TestIndependentBaseline:
 
         original = shift_correction(ds, val, plan, SPEC, cfg).per_batch_accuracies()
 
-        swapped_rows = np.concatenate(
-            [plan.batch_indices(2), plan.batch_indices(0), plan.batch_indices(1)]
-        )
+        swapped_rows = np.r_[plan.batch(2), plan.batch(0), plan.batch(1)]
         swapped_ds = ds.subset(swapped_rows)
         swapped = shift_correction(
-            swapped_ds, val, fragment(swapped_ds, 3, shuffle=False), SPEC, cfg
+            swapped_ds, val, fragment(swapped_ds, 3), SPEC, cfg
         ).per_batch_accuracies()
         assert sorted(swapped) == sorted(original)
 
@@ -248,7 +246,7 @@ class TestIndependentBaseline:
         cfg = quick_config(epochs=3, baseline_mode="cv_independent")
         trace = shift_correction(train, val, plan, SPEC, cfg)
         for i in range(3):
-            part = train.subset(plan.batch_indices(i))
+            part = train.subset(plan.batch(i))
             alone = shift_correction(part, val, fragment(part, 1), SPEC,
                                      replace(cfg, baseline_mode="cv_sequential"))
             got = trace.records[3 * i:3 * (i + 1)]
