@@ -30,6 +30,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -87,6 +88,10 @@ class ProtocolSpec:
             raise BenchError(f"unknown protocol mode {self.mode!r}")
         if self.repetitions < 1:
             raise BenchError("repetitions must be >= 1")
+        if not 0 < self.validation_fraction < 1:
+            raise BenchError(
+                f"validation_fraction must lie in (0, 1), got {self.validation_fraction}"
+            )
         if self.mode == "foldwise" and self.folds < 2:
             raise BenchError("foldwise mode needs at least 2 folds")
         if len(set(self.splits)) != len(self.splits):
@@ -456,8 +461,8 @@ def lambda_sweep(
     values = tuple(LAMBDA_GRID if values is None else values)
     if not values:
         raise BenchError("lambda sweep needs at least one value")
-    if any(v < 0 for v in values):
-        raise BenchError("lambda values must be >= 0")
+    if not all(math.isfinite(v) and v >= 0 for v in values):
+        raise BenchError("lambda values must be finite and >= 0")
     rows, elapsed = _execute(source, proto, train_cfg, spec, values, samples, None, jobs)
     report = ExperimentReport(
         base_seed=train_cfg.seed,

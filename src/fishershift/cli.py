@@ -2,13 +2,16 @@
 
 Every run is reproducible from its flags: all randomness flows from --seed,
 output files are written atomically, and rerunning an invocation produces
-byte-identical artifacts. Argument problems exit with status 2 and a usage
-message; runtime failures exit with status 1 and a diagnostic.
+byte-identical artifacts. Each flag's argparse type is its domain, and
+``check_flag_pairs`` holds the rules that involve two flags, so an argument
+error exits 2 with usage before any file is read; a file or runtime failure
+exits 1 with one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -74,13 +77,37 @@ class DefaultsHelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
         return super()._get_help_string(action)
 
 
+def domain(kind, holds, wanted):
+    """An argparse type: what ``kind`` parses and ``holds`` accepts, else exit 2."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+            if holds(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+    return parse
+
+
+AT_LEAST_1 = domain(int, lambda v: v >= 1, "an integer >= 1")
+AT_LEAST_2 = domain(int, lambda v: v >= 2, "an integer >= 2")
+SEED = domain(int, lambda v: v >= 0, "an integer >= 0")
+STRENGTH = domain(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+RATE = domain(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+FRACTION = domain(float, lambda v: 0 < v < 1, "a number in (0, 1)")
+STRENGTHS = domain(lambda text: tuple(STRENGTH(v) for v in text.split(",") if v.strip()),
+                   lambda vs: len(vs) > 0, "a comma list of at least one finite number >= 0")
+
+
 def add_source_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("data source (choose exactly one)")
-    group.add_argument("--synth", metavar="RECIPE.json", help="synthetic drift recipe")
-    group.add_argument("--csv", metavar="PATH", help="numeric CSV dataset")
-    group.add_argument("--idx-images", metavar="PATH", help="binary image file")
+    group = parser.add_argument_group("data source")
+    source = group.add_mutually_exclusive_group(required=True)
+    source.add_argument("--synth", metavar="RECIPE.json", help="synthetic drift recipe")
+    source.add_argument("--csv", metavar="PATH", help="numeric CSV dataset")
+    source.add_argument("--idx-images", metavar="PATH", help="binary image file")
     group.add_argument("--idx-labels", metavar="PATH", help="binary label file")
-    parser.add_argument("--label-column", default="label",
+    parser.add_argument("--label-column", type=parse_label_column, default="label",
                         help="CSV label column name or 0-based index")
     parser.add_argument("--no-header", action="store_true",
                         help="treat the CSV as headerless")
@@ -93,22 +120,30 @@ def parse_label_column(raw: str):
         return raw
 
 
-def resolve_source(args, parser: argparse.ArgumentParser):
-    chosen = [name for name in ("synth", "csv", "idx_images") if getattr(args, name)]
-    if len(chosen) != 1:
-        parser.error("exactly one data source is required (--synth, --csv, or --idx-images)")
+def check_flag_pairs(args, parser: argparse.ArgumentParser) -> None:
+    """The argument rules of train and sweep that involve two flags."""
     if args.idx_images and not args.idx_labels:
         parser.error("--idx-images requires --idx-labels")
+    if args.csv and args.no_header and not isinstance(args.label_column, int):
+        parser.error("--no-header needs an integer --label-column")
+    if args.command == "sweep" and args.synth:
+        count, unit = ((args.folds, "folds") if args.protocol == "foldwise"
+                       else (args.batches, "batches"))
+        if args.samples // count < 2:
+            parser.error(f"--samples {args.samples} gives fewer than 2 rows "
+                         f"to each of {count} {unit}")
+
+
+def resolve_source(args):
     if args.synth:
         return ShiftRecipe.from_json_file(args.synth)
     if args.csv:
-        return load_csv(args.csv, parse_label_column(args.label_column),
-                        has_header=not args.no_header)
+        return load_csv(args.csv, args.label_column, has_header=not args.no_header)
     return load_idx(args.idx_images, args.idx_labels)
 
 
 def model_spec(args, input_dim: int, classes: int) -> MlpSpec:
-    hidden = tuple((w, args.activation) for w in args.hidden) if args.hidden else ()
+    hidden = tuple((w, args.activation) for w in args.hidden)
     return MlpSpec(input_dim=input_dim, hidden_layers=hidden, output_classes=classes)
 
 
@@ -123,50 +158,42 @@ def train_config(args, baseline: str) -> TrainConfig:
     )
 
 
+def protocol_spec(args) -> ProtocolSpec:
+    common = dict(repetitions=args.repetitions, validation_fraction=args.val_fraction,
+                  shuffle=SHUFFLE_CHOICES[args.shuffle])
+    if args.protocol == "foldwise":
+        return ProtocolSpec(mode="foldwise", folds=args.folds, **common)
+    fraction = round(1.0 / args.batches, 4)
+    return ProtocolSpec(mode="batchwise", splits=((fraction, args.batches),), **common)
+
+
 def add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lambda", type=float, default=0.1,
+    parser.add_argument("--lambda", type=STRENGTH, default=0.1,
                         help="penalty strength; 0 disables the mechanism")
     parser.add_argument("--accumulation", choices=ACCUMULATION_MODES, default="sum",
                         help="how consumed batches combine their Fisher mass")
-    parser.add_argument("--epochs", type=int, default=10, help="passes over the batch sequence")
-    parser.add_argument("--minibatch", type=int, default=32, help="minibatch size within a batch")
+    parser.add_argument("--epochs", type=AT_LEAST_1, default=10,
+                        help="passes over the batch sequence")
+    parser.add_argument("--minibatch", type=AT_LEAST_1, default=32,
+                        help="minibatch size within a batch")
     parser.add_argument("--optimizer", choices=OPTIMIZER_KINDS, default="adam",
                         help="update rule")
-    parser.add_argument("--learning-rate", type=float, default=1e-3, help="optimizer step size")
-    parser.add_argument("--hidden", type=int, nargs="*", default=[4],
+    parser.add_argument("--learning-rate", type=RATE, default=1e-3, help="optimizer step size")
+    parser.add_argument("--hidden", type=AT_LEAST_1, nargs="*", default=[4],
                         help="hidden layer widths; empty for a linear model")
     parser.add_argument("--activation", choices=ACTIVATIONS, default="relu",
                         help="hidden activation")
-    parser.add_argument("--val-fraction", type=float, default=0.2,
+    parser.add_argument("--val-fraction", type=FRACTION, default=0.2,
                         help="holdout fraction carved off before fragmentation")
     parser.add_argument("--shuffle", choices=list(SHUFFLE_CHOICES), default="auto",
                         help="shuffle rows before splitting into batches; "
                              "auto shuffles datasets but not drift recipes")
-    parser.add_argument("--seed", type=int, default=0, help="single source of randomness")
+    parser.add_argument("--seed", type=SEED, default=0, help="single source of randomness")
 
 
-def validate_common(args, parser) -> None:
-    if args.epochs < 1:
-        parser.error("--epochs must be >= 1")
-    if args.minibatch < 1:
-        parser.error("--minibatch must be >= 1")
-    if getattr(args, "lambda") < 0:
-        parser.error("--lambda must be >= 0")
-    if not 0 < args.val_fraction < 1:
-        parser.error("--val-fraction must lie in (0, 1)")
-    if args.batches is not None and args.batches < 1:
-        parser.error("--batches must be >= 1")
-
-
-def cmd_train(args, parser) -> int:
-    validate_common(args, parser)
-    if args.samples_per_batch < 2:
-        parser.error("--samples-per-batch must be >= 2")
-    source = resolve_source(args, parser)
-
-    k = args.batches
-    if k is None:
-        k = source.batch_count if isinstance(source, ShiftRecipe) else 5
+def cmd_train(args) -> int:
+    source = resolve_source(args)
+    k = args.batches or (source.batch_count if isinstance(source, ShiftRecipe) else 5)
     train, validation, plan = batchwise_split(
         source, k, args.samples_per_batch, args.val_fraction,
         SHUFFLE_CHOICES[args.shuffle], args.seed,
@@ -181,37 +208,8 @@ def cmd_train(args, parser) -> int:
     return 0
 
 
-def cmd_sweep(args, parser) -> int:
-    validate_common(args, parser)
-    if args.values is not None:
-        raw = [v for v in args.values.split(",") if v.strip()]
-        if not raw:
-            parser.error("--values must list at least one lambda")
-        try:
-            values = tuple(float(v) for v in raw)
-        except ValueError:
-            parser.error(f"--values contains a non-numeric entry: {args.values!r}")
-        if any(v < 0 for v in values):
-            parser.error("--values entries must be >= 0")
-    else:
-        values = None
-    if args.repetitions < 1:
-        parser.error("--repetitions must be >= 1")
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-
-    source = resolve_source(args, parser)
-    common = dict(repetitions=args.repetitions, validation_fraction=args.val_fraction,
-                  shuffle=SHUFFLE_CHOICES[args.shuffle])
-    if args.protocol == "foldwise":
-        proto = ProtocolSpec(mode="foldwise", folds=args.folds, **common)
-        count, unit = args.folds, "folds"
-    else:
-        fraction = round(1.0 / args.batches, 4)
-        proto = ProtocolSpec(mode="batchwise", splits=((fraction, args.batches),), **common)
-        count, unit = args.batches, "batches"
-    if isinstance(source, ShiftRecipe) and args.samples // count < 2:
-        parser.error(f"--samples {args.samples} gives fewer than 2 rows to each of {count} {unit}")
+def cmd_sweep(args) -> int:
+    source = resolve_source(args)
     if isinstance(source, Dataset):
         input_dim, classes = source.dim, source.class_count
     else:
@@ -219,7 +217,7 @@ def cmd_sweep(args, parser) -> int:
     spec = model_spec(args, input_dim, classes)
     cfg = train_config(args, "c3")
     report, series = lambda_sweep(
-        source, values, proto, cfg, spec, samples=args.samples, jobs=args.jobs
+        source, args.values, protocol_spec(args), cfg, spec, samples=args.samples, jobs=args.jobs
     )
     verify_report(report)
     write_atomic(args.out, report.to_json())
@@ -229,9 +227,7 @@ def cmd_sweep(args, parser) -> int:
     return 0
 
 
-def cmd_synth(args, parser) -> int:
-    if args.samples_per_batch < 2:
-        parser.error("--samples-per-batch must be >= 2")
+def cmd_synth(args) -> int:
     recipe = ShiftRecipe.from_json_file(args.recipe)
     dataset, plan = synth_shift(recipe, args.samples_per_batch, seed=args.seed)
     write_csv(dataset, args.out)
@@ -247,7 +243,7 @@ def cmd_synth(args, parser) -> int:
     return 0
 
 
-def cmd_report(args, parser) -> int:
+def cmd_report(args) -> int:
     report = ExperimentReport.from_json_dict(read_json(args.infile, BenchError))
     verify_report(report)
     rendered = emit_report(report, args.format)
@@ -271,47 +267,51 @@ def build_parser() -> argparse.ArgumentParser:
                              help="run one training pass over ordered batches")
     add_source_flags(p_train)
     add_train_flags(p_train)
-    p_train.add_argument("--batches", type=int, default=None,
+    p_train.add_argument("--batches", type=AT_LEAST_1, default=None,
                          help="number of ordered batches "
                               "(default: the recipe's batch count, or 5 for file sources)")
     p_train.add_argument("--baseline", choices=RUN_MODES, default="c3", help="training mode")
-    p_train.add_argument("--samples-per-batch", type=int, default=500,
+    p_train.add_argument("--samples-per-batch", type=AT_LEAST_2, default=500,
                          help="rows generated per batch for --synth")
     p_train.add_argument("--out", required=True, help="run trace JSON path")
+    p_train.set_defaults(run=cmd_train)
 
     p_sweep = sub.add_parser("sweep", formatter_class=fmt,
                              help="benchmark a grid of penalty strengths")
     add_source_flags(p_sweep)
     add_train_flags(p_sweep)
-    p_sweep.add_argument("--values", default=None,
+    p_sweep.add_argument("--values", type=STRENGTHS, default=None,
                          help="comma-separated lambda grid; omitted, the stock grid "
                               + ",".join(f"{v:g}" for v in LAMBDA_GRID))
     p_sweep.add_argument("--protocol", choices=("batchwise", "foldwise"), default="batchwise",
                          help="split scheme")
-    p_sweep.add_argument("--batches", type=int, default=5, help="batch count (batchwise)")
-    p_sweep.add_argument("--folds", type=int, default=5, help="fold count (foldwise)")
-    p_sweep.add_argument("--repetitions", type=int, default=5,
+    p_sweep.add_argument("--batches", type=AT_LEAST_1, default=5, help="batch count (batchwise)")
+    p_sweep.add_argument("--folds", type=AT_LEAST_2, default=5, help="fold count (foldwise)")
+    p_sweep.add_argument("--repetitions", type=AT_LEAST_1, default=5,
                          help="averaging repetitions with derived seeds")
     p_sweep.add_argument("--samples", type=int, default=5000,
                          help="total rows to generate for recipe sources")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_sweep.add_argument("--jobs", type=AT_LEAST_1, default=1, help="parallel workers")
     p_sweep.add_argument("--out", required=True, help="report JSON path")
     p_sweep.add_argument("--series-out", default=None,
                          help="lambda/accuracy CSV path (default: <out>.series.csv)")
+    p_sweep.set_defaults(run=cmd_sweep)
 
     p_synth = sub.add_parser("synth", formatter_class=fmt,
                              help="materialise a drift recipe to CSV")
     p_synth.add_argument("--recipe", required=True, help="recipe JSON path")
-    p_synth.add_argument("--samples-per-batch", type=int, default=500,
+    p_synth.add_argument("--samples-per-batch", type=AT_LEAST_2, default=500,
                          help="rows generated per batch")
-    p_synth.add_argument("--seed", type=int, default=0, help="single source of randomness")
+    p_synth.add_argument("--seed", type=SEED, default=0, help="single source of randomness")
     p_synth.add_argument("--out", required=True, help="CSV output path")
+    p_synth.set_defaults(run=cmd_synth)
 
     p_report = sub.add_parser("report", formatter_class=fmt,
                               help="render a report as json, csv, or markdown")
     p_report.add_argument("--in", dest="infile", required=True, help="report JSON path")
     p_report.add_argument("--format", choices=("json", "csv", "markdown"), default="markdown")
     p_report.add_argument("--out", default=None, help="output path (default: stdout)")
+    p_report.set_defaults(run=cmd_report)
 
     return parser
 
@@ -319,18 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "train": cmd_train,
-        "sweep": cmd_sweep,
-        "synth": cmd_synth,
-        "report": cmd_report,
-    }
+    if args.command in ("train", "sweep"):
+        check_flag_pairs(args, parser)
     try:
+        for path in (args.out, getattr(args, "series_out", None)):
+            if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+                raise FileNotFoundError(f"cannot write {path}: its directory does not exist")
         # Every non-finite value that matters raises a NumericsError with a
         # one-line diagnostic, so numpy's own floating-point warnings would
         # only add lines in front of it.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return handlers[args.command](args, parser)
+            return args.run(args)
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import re
 from dataclasses import replace
 from types import SimpleNamespace
@@ -78,6 +79,12 @@ class TestProtocolSpec:
     def test_zero_repetitions_rejected(self):
         with pytest.raises(BenchError, match="repetitions"):
             ProtocolSpec(repetitions=0)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, math.nan])
+    @pytest.mark.parametrize("mode", ["batchwise", "foldwise"])
+    def test_validation_fraction_outside_unit_interval_rejected(self, mode, fraction):
+        with pytest.raises(BenchError, match=r"validation_fraction must lie in \(0, 1\)"):
+            ProtocolSpec(mode=mode, validation_fraction=fraction)
 
 
 class TestSeedDerivation:
@@ -255,19 +262,29 @@ class TestLambdaSweep:
         with pytest.raises(BenchError, match=">= 0"):
             lambda_sweep(RECIPE, (-0.1,), small_protocol(), small_config(), tabular_spec(4))
 
-    @pytest.mark.parametrize("entry", ["run_protocol", "lambda_sweep"])
-    @pytest.mark.parametrize("jobs", [0, -1])
-    def test_jobs_below_one_rejected_before_any_work(self, monkeypatch, entry, jobs):
+    @pytest.mark.parametrize("entry, jobs, values, message", [
+        ("run_protocol", 0, None, "jobs must be >= 1"),
+        ("lambda_sweep", 0, (0.1,), "jobs must be >= 1"),
+        ("run_protocol", -1, None, "jobs must be >= 1"),
+        ("lambda_sweep", -1, (0.1,), "jobs must be >= 1"),
+        # inf and NaN both pass a `v < 0` test; caught only by PenaltyConfig,
+        # they would stop the sweep after cv_independent had trained.
+        ("lambda_sweep", 1, (0.1, math.inf), "lambda values must be finite and >= 0"),
+        ("lambda_sweep", 1, (math.nan,), "lambda values must be finite and >= 0"),
+    ], ids=["0-run_protocol", "0-lambda_sweep", "-1-run_protocol", "-1-lambda_sweep",
+            "inf-lambda_sweep", "nan-lambda_sweep"])
+    def test_jobs_below_one_rejected_before_any_work(self, monkeypatch, entry, jobs, values,
+                                                     message):
         def no_work(*args):
             raise AssertionError("work started")
 
         monkeypatch.setattr(bench, "_run_reps", no_work)
         args = RECIPE, small_protocol(), small_config(), tabular_spec(4)
-        with pytest.raises(BenchError, match="jobs must be >= 1"):
+        with pytest.raises(BenchError, match=message):
             if entry == "run_protocol":
                 run_protocol(*args, jobs=jobs)
             else:
-                lambda_sweep(RECIPE, (0.1,), *args[1:], jobs=jobs)
+                lambda_sweep(RECIPE, values, *args[1:], jobs=jobs)
 
     def test_default_grid_comes_from_protocol(self):
         report, series = lambda_sweep(

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import fishershift
-from fishershift.cli import build_parser, main, train_config
+import fishershift.cli as cli
+from fishershift.cli import build_parser, main, model_spec, protocol_spec, train_config
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(fishershift.__file__)))
 
@@ -111,7 +112,8 @@ class TestTrain:
         with pytest.raises(SystemExit) as exc:
             run_cli("train", "--out", str(tmp_path / "x.json"))
         assert exc.value.code == 2
-        assert "data source" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in ("--synth", "--csv", "--idx-images"))
 
     def test_csv_source(self, tmp_path):
         out = tmp_path / "run.json"
@@ -163,6 +165,105 @@ def test_every_train_config_field_is_set_by_a_flag():
         default = type(config)()
         for field in dataclasses.fields(config):
             assert getattr(config, field.name) != getattr(default, field.name), field.name
+
+
+# Each case is (command, flags, the flag stderr must name). MISSING stands
+# for a data path that does not exist, so a run that read a file before it
+# checked its arguments would exit 1, not 2.
+MISSING = "<missing>"
+BAD_ARGUMENTS = {
+    # Each parses as a number or a path; only the flag's domain, or a rule
+    # between two flags, stops it before a file is read.
+    "foldwise-one-fold": ("sweep", ["--protocol", "foldwise", "--folds", "1"], "--folds"),
+    "zero-learning-rate": ("train", ["--learning-rate", "0"], "--learning-rate"),
+    "nan-learning-rate": ("sweep", ["--learning-rate", "nan"], "--learning-rate"),
+    "zero-hidden-width": ("train", ["--hidden", "4", "0"], "--hidden"),
+    "inf-lambda": ("train", ["--lambda", "inf"], "--lambda"),
+    "nan-lambda": ("sweep", ["--lambda", "nan"], "--lambda"),
+    "inf-in-values": ("sweep", ["--values", "0.1,inf"], "--values"),
+    "train-negative-seed": ("train", ["--seed", "-1"], "--seed"),
+    "synth-negative-seed": ("synth", ["--seed", "-1"], "--seed"),
+    "sweep-negative-seed": ("sweep", ["--seed", "-1"], "--seed"),
+    "headerless-named-label": ("train", ["--csv", MISSING, "--no-header"], "--label-column"),
+    "too-few-samples": ("sweep", ["--batches", "2", "--samples", "3"], "--samples"),
+    # One value outside each flag's domain.
+    "train-epochs": ("train", ["--epochs", "0"], "--epochs"),
+    "train-minibatch": ("train", ["--minibatch", "1.5"], "--minibatch"),
+    "train-lambda": ("train", ["--lambda", "-0.1"], "--lambda"),
+    "train-learning-rate": ("train", ["--learning-rate", "-1"], "--learning-rate"),
+    "train-val-fraction": ("train", ["--val-fraction", "1"], "--val-fraction"),
+    "train-batches": ("train", ["--batches", "0"], "--batches"),
+    "train-samples-per-batch": ("train", ["--samples-per-batch", "1"], "--samples-per-batch"),
+    "sweep-epochs": ("sweep", ["--epochs", "-3"], "--epochs"),
+    "sweep-minibatch": ("sweep", ["--minibatch", "0"], "--minibatch"),
+    "sweep-hidden": ("sweep", ["--hidden", "two"], "--hidden"),
+    "sweep-val-fraction": ("sweep", ["--val-fraction", "nan"], "--val-fraction"),
+    "sweep-values": ("sweep", ["--values", "0.1,x"], "--values"),
+    "sweep-batches": ("sweep", ["--batches", "0"], "--batches"),
+    "sweep-repetitions": ("sweep", ["--repetitions", "0"], "--repetitions"),
+    "sweep-jobs": ("sweep", ["--jobs", "0"], "--jobs"),
+    "synth-samples-per-batch": ("synth", ["--samples-per-batch", "1"], "--samples-per-batch"),
+    "two-sources": ("train", ["--synth", MISSING, "--csv", MISSING], "--csv"),
+    "images-without-labels": ("train", ["--idx-images", MISSING], "--idx-labels"),
+}
+
+
+@pytest.mark.parametrize("command, flags, named", BAD_ARGUMENTS.values(),
+                         ids=BAD_ARGUMENTS.keys())
+def test_bad_argument_exits_2_before_any_file_is_read(command, flags, named, tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    flags = [missing if flag == MISSING else flag for flag in flags]
+    source = []
+    if not {"--synth", "--csv", "--idx-images"} & set(flags):
+        source = ["--recipe" if command == "synth" else "--synth", missing]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *source, *flags, "--out", str(tmp_path / "out.json"))
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--out"), ("sweep", "--out"), ("sweep", "--series-out"), ("synth", "--out"),
+])
+def test_missing_output_directory_exits_1_before_any_work(command, flag, recipe_path, tmp_path,
+                                                          monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("shift_correction", "lambda_sweep", "synth_shift"):
+        monkeypatch.setattr(cli, name, no_work)
+    bad = str(tmp_path / "no_such_dir" / "out.json")
+    outputs = ["--out", bad]
+    if flag == "--series-out":
+        outputs = ["--out", str(tmp_path / "r.json"), "--series-out", bad]
+    source = "--recipe" if command == "synth" else "--synth"
+    assert run_cli(command, source, recipe_path, *outputs) == 1
+    assert capsys.readouterr().err == f"error: cannot write {bad}: its directory does not exist\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["drift.json"]
+
+
+@pytest.mark.parametrize("edge", ["smallest", "largest"])
+@pytest.mark.parametrize("protocol", ["batchwise", "foldwise"])
+def test_every_value_the_parser_accepts_builds_the_configs(edge, protocol):
+    # So no argument can pass the parser and then fail a library config
+    # check, which would exit 1.
+    values = {
+        "smallest": ["--epochs", "1", "--minibatch", "1", "--lambda", "0", "--learning-rate",
+                     "5e-324", "--hidden", "1", "--val-fraction", "5e-324", "--seed", "0",
+                     "--values", "0", "--batches", "1", "--folds", "2", "--repetitions", "1",
+                     "--jobs", "1"],
+        "largest": ["--epochs", "1000000", "--minibatch", "1000000", "--lambda", "1.7e308",
+                    "--learning-rate", "1.7e308", "--hidden", "--val-fraction",
+                    "0.9999999999999999", "--seed", str(2 ** 64), "--values", "1.7e308",
+                    "--batches", "1000000", "--folds", "1000000", "--repetitions", "1000000",
+                    "--jobs", "1000000"],
+    }[edge]
+    args = build_parser().parse_args(["sweep", "--synth", "drift.json", "--out", "r.json",
+                                      "--protocol", protocol, *values])
+    train_config(args, "c3")
+    protocol_spec(args)
+    model_spec(args, 1, 2)
 
 
 class TestSweep:
