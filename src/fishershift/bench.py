@@ -32,7 +32,6 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -393,7 +392,12 @@ def _execute(source, proto, train_cfg, spec, lambdas, samples, reference, jobs):
     started = time.monotonic()
     distinct = tuple(dict.fromkeys(lambdas))
     rows = []
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    pool = None
+    if jobs > 1:
+        # Imported here, so a run in one process never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=jobs)
     try:
         for fraction, k in _splits(proto):
             key = _cell_key(proto.mode, fraction, k)

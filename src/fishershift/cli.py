@@ -48,7 +48,7 @@ from .numerics import (
     read_json,
     write_atomic,
 )
-from .penalty import ACCUMULATION_MODES, PenaltyConfig, PenaltyError
+from .penalty import PenaltyConfig, PenaltyError
 from .trainer import RUN_MODES, TrainConfig, TrainerError, shift_correction
 
 USER_ERRORS = (
@@ -121,7 +121,8 @@ def parse_label_column(raw: str):
 
 
 def check_flag_pairs(args, parser: argparse.ArgumentParser) -> None:
-    """The argument rules of train and sweep that involve two flags."""
+    """The argument rules of train and sweep that involve two flags; an error
+    exits 2 with the usage of ``parser``, the subcommand's own."""
     if args.idx_images and not args.idx_labels:
         parser.error("--idx-images requires --idx-labels")
     if args.csv and args.no_header and not isinstance(args.label_column, int):
@@ -152,7 +153,7 @@ def train_config(args, baseline: str) -> TrainConfig:
         epochs=args.epochs,
         minibatch_size=args.minibatch,
         optimizer=OptimizerConfig(kind=args.optimizer, learning_rate=args.learning_rate),
-        penalty=PenaltyConfig(lam=getattr(args, "lambda"), accumulation=args.accumulation),
+        penalty=PenaltyConfig(lam=getattr(args, "lambda")),
         seed=args.seed,
         baseline_mode=baseline,
     )
@@ -170,8 +171,6 @@ def protocol_spec(args) -> ProtocolSpec:
 def add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lambda", type=STRENGTH, default=0.1,
                         help="penalty strength; 0 disables the mechanism")
-    parser.add_argument("--accumulation", choices=ACCUMULATION_MODES, default="sum",
-                        help="how consumed batches combine their Fisher mass")
     parser.add_argument("--epochs", type=AT_LEAST_1, default=10,
                         help="passes over the batch sequence")
     parser.add_argument("--minibatch", type=AT_LEAST_1, default=32,
@@ -274,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--samples-per-batch", type=AT_LEAST_2, default=500,
                          help="rows generated per batch for --synth")
     p_train.add_argument("--out", required=True, help="run trace JSON path")
-    p_train.set_defaults(run=cmd_train)
+    p_train.set_defaults(run=cmd_train, parser=p_train)
 
     p_sweep = sub.add_parser("sweep", formatter_class=fmt,
                              help="benchmark a grid of penalty strengths")
@@ -295,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True, help="report JSON path")
     p_sweep.add_argument("--series-out", default=None,
                          help="lambda/accuracy CSV path (default: <out>.series.csv)")
-    p_sweep.set_defaults(run=cmd_sweep)
+    p_sweep.set_defaults(run=cmd_sweep, parser=p_sweep)
 
     p_synth = sub.add_parser("synth", formatter_class=fmt,
                              help="materialise a drift recipe to CSV")
@@ -317,10 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.command in ("train", "sweep"):
-        check_flag_pairs(args, parser)
+        check_flag_pairs(args, args.parser)
     try:
         for path in (args.out, getattr(args, "series_out", None)):
             if path is not None and not os.path.isdir(os.path.dirname(path) or "."):

@@ -232,7 +232,9 @@ class FisherEstimate:
 
     ``diagonal`` holds one nonnegative entry per model parameter, ``anchor``
     the parameter vector the estimate is centred on, and ``sample_count`` the
-    number of samples that produced it.
+    number of samples that produced it. Immutable to callers: nothing writes
+    to ``diagonal`` or the anchor's values, so a penalty state may keep the
+    estimate itself rather than a copy.
     """
 
     diagonal: np.ndarray

@@ -1,8 +1,10 @@
 """Fisher-weighted penalty state for sequential-batch training.
 
-A consumed batch leaves behind its diagonal Fisher estimate and the parameters
-it finished at. Later batches pay a quadratic price for moving parameters away
-from that anchor, weighted per coordinate by the accumulated Fisher mass:
+A consumed batch leaves behind its diagonal Fisher estimate, measured at the
+parameters it finished at. The state sums the diagonals of every consumed
+batch and anchors at the latest estimate's parameters (online EWC without
+decay). Later batches pay a quadratic price for moving parameters away from
+that anchor, weighted per coordinate by the accumulated Fisher mass:
 
     penalty(theta) = (lam / 2) * sum_i F_i * (theta_i - anchor_i)^2
 
@@ -32,8 +34,6 @@ from .numerics import (
     write_atomic,
 )
 
-ACCUMULATION_MODES = ("sum", "mean")
-
 SNAPSHOT_VERSION = 1
 
 
@@ -43,21 +43,19 @@ class PenaltyError(ValueError):
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Strength and accumulation of the batch-to-batch penalty.
+    """Strength of the batch-to-batch penalty.
 
-    ``mode`` names the penalty form, the only one there is; report config
-    hashes include it.
+    ``mode`` names the penalty form and ``accumulation`` how consumed batches
+    combine, the only ones there are; report config hashes include both.
     """
 
     mode: ClassVar[str] = "quadratic"
+    accumulation: ClassVar[str] = "sum"
     lam: float = 0.1
-    accumulation: str = "sum"
 
     def __post_init__(self):
         if not np.isfinite(self.lam) or self.lam < 0.0:
             raise PenaltyError(f"lam must be finite and >= 0, got {self.lam}")
-        if self.accumulation not in ACCUMULATION_MODES:
-            raise PenaltyError(f"unknown accumulation mode {self.accumulation!r}")
 
 
 @dataclass(frozen=True)
@@ -80,39 +78,27 @@ class PenaltyState:
         return self.batches_consumed == 0
 
 
-def absorb_batch(
-    state: PenaltyState,
-    fisher: FisherEstimate,
-    params_post: ParameterVector,
-    cfg: PenaltyConfig,
-) -> PenaltyState:
+def absorb_batch(state: PenaltyState, fisher: FisherEstimate) -> PenaltyState:
     """Fold one finished batch's Fisher estimate into the running state.
 
-    ``sum`` accumulation keeps adding diagonals so every consumed batch keeps
-    contributing; ``mean`` keeps a running average. The anchor always moves to
-    the parameters the batch finished at.
+    The diagonals add up, so every consumed batch keeps contributing, and the
+    anchor moves to ``fisher.anchor``, the parameters the estimate was
+    measured at. The first absorbed estimate becomes the state as it is.
     """
-    if not fisher.anchor.same_layout(params_post):
-        raise PenaltyError("fisher layout does not match the post-batch parameters")
     if state.is_empty:
-        merged = FisherEstimate(fisher.diagonal.copy(), params_post, fisher.sample_count)
-        return PenaltyState(accumulated=merged, batches_consumed=1)
+        return PenaltyState(accumulated=fisher, batches_consumed=1)
     acc = state.accumulated
-    if acc.diagonal.size != fisher.diagonal.size:
+    if not acc.anchor.same_layout(fisher.anchor):
         raise PenaltyError("fisher layout does not match the accumulated state")
-    if cfg.accumulation == "sum":
-        diagonal = acc.diagonal + fisher.diagonal
-    else:
-        b = state.batches_consumed
-        diagonal = (acc.diagonal * b + fisher.diagonal) / (b + 1)
-    merged = FisherEstimate(diagonal, params_post, acc.sample_count + fisher.sample_count)
+    merged = FisherEstimate(acc.diagonal + fisher.diagonal, fisher.anchor,
+                            acc.sample_count + fisher.sample_count)
     return PenaltyState(accumulated=merged, batches_consumed=state.batches_consumed + 1)
 
 
-def penalty_term(states, cfgs, members):
+def penalty_term(states, lams, members):
     """The penalties of a stack of members as one function, or ``None``.
 
-    ``states``, ``cfgs`` and ``members`` hold one penalty state, config and
+    ``states``, ``lams`` and ``members`` hold one penalty state, strength and
     parameter vector per member. A member pays no penalty when its
     ``lam = 0`` or its state is empty, so it trains on plain cross-entropy;
     ``None`` when no member pays one. Otherwise a pair ``(rows, term)``, as
@@ -123,8 +109,8 @@ def penalty_term(states, cfgs, members):
     layout checks and the constant factors are settled here once.
     """
     penalised = [
-        i for i, (state, cfg) in enumerate(zip(states, cfgs))
-        if cfg.lam != 0.0 and not state.is_empty
+        i for i, (state, lam) in enumerate(zip(states, lams))
+        if lam != 0.0 and not state.is_empty
     ]
     if not penalised:
         return None
@@ -132,7 +118,7 @@ def penalty_term(states, cfgs, members):
         if not states[i].accumulated.anchor.same_layout(members[i]):
             raise PenaltyError("parameter layout does not match the penalty state")
     accumulated = [states[i].accumulated for i in penalised]
-    lams = [cfgs[i].lam for i in penalised]
+    lams = [lams[i] for i in penalised]
     anchor = np.stack([acc.anchor.values for acc in accumulated])
     diagonal = np.stack([acc.diagonal for acc in accumulated])
     half_lam = np.array([0.5 * lam for lam in lams])
@@ -150,7 +136,7 @@ def penalty_term(states, cfgs, members):
 
 def _single_term(state: PenaltyState, params: ParameterVector, cfg: PenaltyConfig):
     """The penalty value and gradient of one member, or ``None`` when it is off."""
-    term = penalty_term((state,), (cfg,), (params,))
+    term = penalty_term((state,), (cfg.lam,), (params,))
     if term is None:
         return None
     value, grad = term[1](params.values[None])

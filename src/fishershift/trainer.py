@@ -32,7 +32,7 @@ lambda rows.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -121,9 +121,10 @@ class RunTrace:
     """Complete record of one run: per-visit records plus the final model.
 
     ``final_penalty_state`` and ``final_optimizer_state`` ride along for
-    in-process resumption and inspection; the JSON form carries only the
-    records and the final parameters (the penalty state has its own snapshot
-    format).
+    in-process resumption (``shift_correction(resume=)``) and inspection;
+    the JSON form carries only the records and the final parameters (the
+    penalty state has its own snapshot format), so a trace read back from
+    JSON cannot be resumed.
     """
 
     records: tuple[BatchRecord, ...]
@@ -227,12 +228,12 @@ class _Member:
     records: list = field(default_factory=list)
     loss: float = 0.0  # the mean step loss of the latest visit
     history: list | None = None  # (epoch, batch index, params) per visit, if kept
-    penalty: PenaltyConfig = field(init=False)
+    lam: float = field(init=False)
 
     def __post_init__(self):
         # Only c3 pays the penalty; the baselines train with lambda 0.
         cfg = self.run.cfg
-        self.penalty = cfg.penalty if cfg.baseline_mode == "c3" else replace(cfg.penalty, lam=0.0)
+        self.lam = cfg.penalty.lam if cfg.baseline_mode == "c3" else 0.0
 
     def batch_key(self, v: int) -> tuple:
         """Identifies the batch of visit ``v``: members with equal keys share it."""
@@ -253,14 +254,17 @@ def _visits(cfg: TrainConfig, plan: FragmentationPlan) -> list[tuple[tuple[int, 
     return [tuple((epoch, i) for epoch in epochs for i in batches)]
 
 
-def _members(spec, run: Run, params=None, opt_state=None, state=None,
+def _members(spec, run: Run, resume: RunTrace | None = None,
              keep_history=False) -> list[_Member]:
-    """The members that train ``run``, from the given state or else the
-    seeded initialisation."""
-    params = init_params(spec, run.cfg.seed) if params is None else params
-    if opt_state is None:
+    """The members that train ``run``, from the final state of ``resume``
+    or else the seeded initialisation."""
+    if resume is None:
+        params = init_params(spec, run.cfg.seed)
         opt_state = init_optimizer_state(run.cfg.optimizer, params.size)
-    state = PenaltyState.empty() if state is None else state
+        state = PenaltyState.empty()
+    else:
+        params, opt_state, state = (resume.final_params, resume.final_optimizer_state,
+                                    resume.final_penalty_state)
     return [_Member(run, visits, params, opt_state, state, history=[] if keep_history else None)
             for visits in _visits(run.cfg, run.plan)]
 
@@ -283,36 +287,36 @@ def shift_correction(
     plan: FragmentationPlan,
     spec: MlpSpec,
     cfg: TrainConfig,
-    initial_params: ParameterVector | None = None,
-    initial_penalty_state: PenaltyState | None = None,
-    initial_optimizer_state: OptimizerState | None = None,
+    resume: RunTrace | None = None,
     batch_hook=None,
 ) -> RunTrace:
     """Consume the plan's batches in causal order and return the full trace.
 
     Per batch visit: record the distribution KL against every earlier batch,
     minimise the penalised loss over the batch, then (in ``c3`` mode) absorb
-    the batch's Fisher diagonal into the penalty state anchored at the
-    parameters the batch finished with. Validation accuracy is measured after
-    every visit. ``batch_hook(epoch, batch_index, params)`` is called once
-    per visit, in record order, when training is done. The ``initial_*``
-    arguments resume a run from a batch boundary.
+    the batch's Fisher diagonal, measured at the parameters the batch
+    finished with, into the penalty state. Validation accuracy is measured
+    after every visit. ``batch_hook(epoch, batch_index, params)`` is called
+    once per visit, in record order, when training is done. ``resume``, the
+    in-process trace of an earlier run, continues that run from a batch
+    boundary: training starts from its final parameters, optimizer state and
+    penalty state, so the two traces together equal one continuous run.
 
     ``c3`` and ``cv_sequential`` visit epoch-major. ``cv_independent`` trains
     every batch from the seeded initialisation: batch i is a member of its
     own that makes every epoch's visit of batch i, and the K members step as
     one stack. Its records come batch-major (every epoch of batch 0, then of
     batch 1, ...), and its final state is batch K-1's. It starts from the
-    seed by definition, so it rejects ``initial_*`` state.
+    seed by definition, so it rejects ``resume``.
     """
-    resume = (initial_params, initial_penalty_state, initial_optimizer_state)
-    if cfg.baseline_mode == "cv_independent" and any(value is not None for value in resume):
-        raise TrainerError(
-            "cv_independent re-initialises the model before every batch; "
-            "it cannot resume from initial_* state"
-        )
-    members = _members(spec, Run(dataset, validation, plan, cfg), initial_params,
-                       initial_optimizer_state, initial_penalty_state,
+    if resume is not None:
+        if cfg.baseline_mode == "cv_independent":
+            raise TrainerError("cv_independent trains every batch from the seed; "
+                               "it cannot resume a run")
+        if resume.final_penalty_state is None or resume.final_optimizer_state is None:
+            raise TrainerError("resume needs a trace with its final states; "
+                               "a trace read from JSON has none")
+    members = _members(spec, Run(dataset, validation, plan, cfg), resume,
                        keep_history=batch_hook is not None)
     _train(spec, members)
     if batch_hook is not None:
@@ -353,7 +357,7 @@ def _step(spec, members, v: int) -> None:
         spec, params, [member.opt_state for member in members], x, y,
         members[0].run.cfg.minibatch_size,
         penalty_term([member.state for member in members],
-                     [member.penalty for member in members], params),
+                     [member.lam for member in members], params),
     )
     for member, member_params, opt_state, loss, (bx, by) in zip(
         members, params, opt_states, losses, batches
@@ -363,7 +367,7 @@ def _step(spec, members, v: int) -> None:
         # passes save no time.
         if member.run.cfg.baseline_mode == "c3":
             fisher = empirical_fisher_diagonal(spec, member_params, bx, by)
-            member.state = absorb_batch(member.state, fisher, member_params, member.penalty)
+            member.state = absorb_batch(member.state, fisher)
 
 
 def _train(spec, members) -> None:

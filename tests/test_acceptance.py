@@ -224,7 +224,7 @@ def test_criterion_06_gradient_fidelity():
         anchor = params.with_values(params.values + rng.normal(scale=0.2, size=params.size))
         fisher = FisherEstimate(rng.uniform(0.05, 2.0, size=params.size), anchor, 10)
         cfg = PenaltyConfig(lam=0.3)
-        state = absorb_batch(PenaltyState.empty(), fisher, anchor, cfg)
+        state = absorb_batch(PenaltyState.empty(), fisher)
 
         def pen_at(theta):
             return penalty_value(state, params.with_values(theta), cfg)

@@ -153,11 +153,24 @@ class TestTrain:
         assert done.stderr.splitlines() == ["error: non-finite cross-entropy loss"]
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    # Only sweep --jobs > 1 needs the pool, so train and a one-process sweep
+    # never pay for loading it. A fresh interpreter: this one may hold it.
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    pool_modules = ("multiprocessing", "concurrent.futures.process")
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, fishershift.cli; print([m for m in {pool_modules!r} if m in sys.modules])"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout == "[]\n"
+
+
 def test_every_train_config_field_is_set_by_a_flag():
     # A config field that no flag sets is an option only tests can reach.
     args = build_parser().parse_args([
         "train", "--synth", "drift.json", "--out", "run.json", "--lambda", "0.5",
-        "--accumulation", "mean", "--epochs", "3", "--minibatch", "8", "--optimizer", "sgd",
+        "--epochs", "3", "--minibatch", "8", "--optimizer", "sgd",
         "--learning-rate", "0.5", "--seed", "4", "--baseline", "cv_sequential",
     ])
     cfg = train_config(args, args.baseline)
@@ -219,7 +232,11 @@ def test_bad_argument_exits_2_before_any_file_is_read(command, flags, named, tmp
     with pytest.raises(SystemExit) as exc:
         run_cli(command, *source, *flags, "--out", str(tmp_path / "out.json"))
     assert exc.value.code == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err
+    # The subcommand's own usage and prefix, for a rule between two flags too.
+    assert err.startswith(f"usage: fishershift {command} ")
+    assert f"\nfishershift {command}: error: " in err
     assert not list(tmp_path.iterdir())
 
 

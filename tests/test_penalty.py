@@ -30,44 +30,44 @@ def full_vector(params, value):
 
 
 class TestAbsorb:
-    def test_first_absorption_copies_fisher_and_anchor(self):
+    def test_first_absorption_keeps_the_estimate(self):
         params = init_params(SPEC, 0)
         fisher = estimate_for(full_vector(params, 2.0), params, n=7)
-        state = absorb_batch(PenaltyState.empty(), fisher, params, PenaltyConfig())
+        state = absorb_batch(PenaltyState.empty(), fisher)
         assert state.batches_consumed == 1
-        assert np.array_equal(state.accumulated.diagonal, fisher.diagonal)
-        assert state.accumulated.anchor is params
-        assert state.accumulated.sample_count == 7
+        assert state.accumulated is fisher
 
     def test_sum_accumulation_adds(self):
         params = init_params(SPEC, 0)
-        cfg = PenaltyConfig(accumulation="sum")
-        state = absorb_batch(PenaltyState.empty(), estimate_for(full_vector(params, 1.0), params), params, cfg)
-        state = absorb_batch(state, estimate_for(full_vector(params, 3.0), params), params, cfg)
+        state = absorb_batch(PenaltyState.empty(), estimate_for(full_vector(params, 1.0), params))
+        state = absorb_batch(state, estimate_for(full_vector(params, 3.0), params))
         assert np.allclose(state.accumulated.diagonal, 4.0)
         assert state.batches_consumed == 2
 
-    def test_mean_accumulation_averages(self):
+    def test_later_absorbs_leave_every_estimate_unwritten(self):
+        # The state holds the first estimate itself, so summing must make a
+        # new diagonal rather than add into the caller's array.
         params = init_params(SPEC, 0)
-        cfg = PenaltyConfig(accumulation="mean")
-        state = absorb_batch(PenaltyState.empty(), estimate_for(full_vector(params, 2.0), params), params, cfg)
-        state = absorb_batch(state, estimate_for(full_vector(params, 4.0), params), params, cfg)
-        assert np.allclose(state.accumulated.diagonal, 3.0)
+        first = estimate_for(full_vector(params, 1.0), params, n=5)
+        second = estimate_for(full_vector(params, 3.0), params, n=6)
+        state = absorb_batch(absorb_batch(PenaltyState.empty(), first), second)
+        assert np.all(first.diagonal == 1.0) and first.sample_count == 5
+        assert np.all(second.diagonal == 3.0) and second.sample_count == 6
+        assert state.accumulated.sample_count == 11
 
     def test_anchor_tracks_latest_batch_end(self):
         p0 = init_params(SPEC, 0)
         p1 = init_params(SPEC, 1)
-        cfg = PenaltyConfig()
-        state = absorb_batch(PenaltyState.empty(), estimate_for(full_vector(p0, 1.0), p0), p0, cfg)
-        state = absorb_batch(state, estimate_for(full_vector(p1, 1.0), p1), p1, cfg)
+        state = absorb_batch(PenaltyState.empty(), estimate_for(full_vector(p0, 1.0), p0))
+        state = absorb_batch(state, estimate_for(full_vector(p1, 1.0), p1))
         assert state.accumulated.anchor is p1
 
     def test_layout_mismatch_rejected(self):
         params = init_params(SPEC, 0)
         other = init_params(MlpSpec(input_dim=3), 0)
-        fisher = estimate_for(full_vector(params, 1.0), params)
+        state = absorb_batch(PenaltyState.empty(), estimate_for(full_vector(params, 1.0), params))
         with pytest.raises(PenaltyError, match="layout"):
-            absorb_batch(PenaltyState.empty(), fisher, other, PenaltyConfig())
+            absorb_batch(state, estimate_for(full_vector(other, 1.0), other))
 
 
 class TestPenaltyValue:
@@ -75,7 +75,7 @@ class TestPenaltyValue:
         spec = MlpSpec(input_dim=1, hidden_layers=(), output_classes=2, bias=False)
         anchor = zero_params(spec).with_values(np.array([anchor_value, 0.0]))
         fisher = estimate_for(np.array([fisher_value, 0.0]), anchor)
-        state = absorb_batch(PenaltyState.empty(), fisher, anchor, PenaltyConfig())
+        state = absorb_batch(PenaltyState.empty(), fisher)
         return spec, anchor, state
 
     def test_lambda_zero_vanishes(self):
@@ -109,7 +109,7 @@ class TestPenaltyValue:
     def test_anchor_is_unique_minimizer_with_positive_fisher(self):
         params = init_params(SPEC, 3)
         fisher = estimate_for(full_vector(params, 0.8), params)
-        state = absorb_batch(PenaltyState.empty(), fisher, params, PenaltyConfig())
+        state = absorb_batch(PenaltyState.empty(), fisher)
         cfg = PenaltyConfig(lam=0.3)
         assert penalty_value(state, params, cfg) == 0.0
         rng = np.random.default_rng(0)
@@ -121,7 +121,7 @@ class TestPenaltyValue:
         rng = np.random.default_rng(1)
         params = init_params(SPEC, 4)
         fisher = estimate_for(rng.uniform(0.0, 2.0, size=params.size), params)
-        state = absorb_batch(PenaltyState.empty(), fisher, params, PenaltyConfig())
+        state = absorb_batch(PenaltyState.empty(), fisher)
         for _ in range(50):
             theta = params.with_values(rng.normal(scale=2.0, size=params.size))
             assert penalty_value(state, theta, PenaltyConfig(lam=rng.uniform(0, 1))) >= 0.0
@@ -135,7 +135,7 @@ class TestPenalizedLossAndGrad:
         labels = rng.integers(0, 2, size=12)
         anchor = params.with_values(params.values + rng.normal(scale=0.3, size=params.size))
         fisher = estimate_for(rng.uniform(0.1, 2.0, size=params.size), anchor)
-        state = absorb_batch(PenaltyState.empty(), fisher, anchor, PenaltyConfig())
+        state = absorb_batch(PenaltyState.empty(), fisher)
         return params, x, labels, state
 
     def test_lambda_zero_reduces_to_plain_cross_entropy_bitwise(self):
@@ -174,16 +174,18 @@ class TestConfigValidation:
         with pytest.raises(PenaltyError, match="lam"):
             PenaltyConfig(lam=-0.1)
 
-    def test_unknown_accumulation_rejected(self):
-        with pytest.raises(PenaltyError, match="accumulation"):
-            PenaltyConfig(accumulation="max")
+    def test_lambda_is_the_only_setting(self):
+        # Consumed batches always add up; the rule is fixed, not a field.
+        assert PenaltyConfig().accumulation == "sum"
+        with pytest.raises(TypeError, match="accumulation"):
+            PenaltyConfig(accumulation="mean")
 
 
 class TestSnapshots:
     def test_round_trip_through_dict(self):
         params = init_params(SPEC, 5)
         fisher = estimate_for(np.linspace(0.0, 1.0, params.size), params, n=42)
-        state = absorb_batch(PenaltyState.empty(), fisher, params, PenaltyConfig())
+        state = absorb_batch(PenaltyState.empty(), fisher)
         restored = state_from_dict(state_to_dict(state))
         assert restored.batches_consumed == state.batches_consumed
         assert np.array_equal(restored.accumulated.diagonal, state.accumulated.diagonal)
@@ -198,7 +200,7 @@ class TestSnapshots:
     def test_file_round_trip(self, tmp_path):
         params = init_params(SPEC, 6)
         fisher = estimate_for(full_vector(params, 0.5), params)
-        state = absorb_batch(PenaltyState.empty(), fisher, params, PenaltyConfig())
+        state = absorb_batch(PenaltyState.empty(), fisher)
         path = tmp_path / "state.json"
         save_state(state, path)
         restored = load_state(path)

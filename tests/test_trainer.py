@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -145,33 +146,35 @@ class TestDeterminismAndCausality:
         assert prefix.records == full.records[:k_prefix]
         assert prefix.final_penalty_state.batches_consumed == k_prefix
 
-    def test_resume_from_snapshot_matches_continuous_run(self):
+    def resumable_run(self, baseline="c3"):
+        """A 4-batch run, and a run of its first two batches to resume from."""
         recipe = ShiftRecipe(kind="mean_drift", batch_count=4, features=4, delta=0.4)
         ds, plan = synth_shift(recipe, 80, seed=5)
         val = Dataset(ds.features[:40], ds.labels[:40], ds.class_count)
-        cfg = quick_config(epochs=1, penalty=PenaltyConfig(lam=0.3))
+        cfg = quick_config(epochs=1, penalty=PenaltyConfig(lam=0.3), baseline_mode=baseline)
+        head_ds = ds.subset(np.r_[plan.batch(0), plan.batch(1)])
+        head = shift_correction(head_ds, val, fragment(head_ds, 2), SPEC, cfg)
+        return ds, val, plan, cfg, head
 
+    @pytest.mark.parametrize("baseline", ["c3", "cv_sequential"])
+    def test_resumed_run_matches_continuous_run(self, baseline):
+        ds, val, plan, cfg, head = self.resumable_run(baseline)
         full = shift_correction(ds, val, plan, SPEC, cfg)
+        tail_ds = ds.subset(np.r_[plan.batch(2), plan.batch(3)])
+        tail = shift_correction(tail_ds, val, fragment(tail_ds, 2), SPEC, cfg, resume=head)
+        # The tail's own plan numbers its batches from 0, so its records
+        # differ in batch index and KL; the rest of each visit is the same.
+        assert [(r.validation_accuracy, r.mean_loss) for r in tail.records] == [
+            (r.validation_accuracy, r.mean_loss) for r in full.records[2:]
+        ]
+        # Parameters, Adam state and penalty state, bit for bit.
+        assert_same_run(replace(tail, records=full.records), full)
 
-        head_rows = np.r_[plan.batch(0), plan.batch(1)]
-        head = shift_correction(
-            ds.subset(head_rows), val, fragment(ds.subset(head_rows), 2), SPEC, cfg
-        )
-        tail_rows = np.r_[plan.batch(2), plan.batch(3)]
-        tail = shift_correction(
-            ds.subset(tail_rows),
-            val,
-            fragment(ds.subset(tail_rows), 2),
-            SPEC,
-            cfg,
-            initial_params=head.final_params,
-            initial_penalty_state=head.final_penalty_state,
-            initial_optimizer_state=head.final_optimizer_state,
-        )
-        assert np.array_equal(tail.final_params.values, full.final_params.values)
-        resumed_acc = [r.validation_accuracy for r in tail.records]
-        full_acc = [r.validation_accuracy for r in full.records[2:]]
-        assert resumed_acc == full_acc
+    def test_resume_needs_a_trace_with_final_states(self):
+        ds, val, plan, cfg, head = self.resumable_run()
+        read_back = RunTrace.from_json_dict(json.loads(head.to_json()))
+        with pytest.raises(TrainerError, match="final states"):
+            shift_correction(ds, val, plan, SPEC, cfg, resume=read_back)
 
     def test_records_only_reference_earlier_batches(self):
         train, val, plan = drift_setup(k=4, n_per_batch=60)
@@ -257,20 +260,12 @@ class TestIndependentBaseline:
         # The final state is the last batch's.
         assert_same_run(replace(trace, records=alone.records), alone)
 
-    @pytest.mark.parametrize(
-        "initial", ["initial_params", "initial_penalty_state", "initial_optimizer_state"]
-    )
-    def test_rejects_initial_state(self, initial):
+    def test_rejects_resume(self):
         train, val, plan = drift_setup(k=2, n_per_batch=60)
         head = shift_correction(train, val, plan, SPEC, quick_config(epochs=1))
-        values = {
-            "initial_params": head.final_params,
-            "initial_penalty_state": head.final_penalty_state,
-            "initial_optimizer_state": head.final_optimizer_state,
-        }
         cfg = quick_config(baseline_mode="cv_independent")
-        with pytest.raises(TrainerError, match="initial_"):
-            shift_correction(train, val, plan, SPEC, cfg, **{initial: values[initial]})
+        with pytest.raises(TrainerError, match="cannot resume"):
+            shift_correction(train, val, plan, SPEC, cfg, resume=head)
 
 
 def member_configs(**kw):
@@ -304,14 +299,12 @@ def assert_same_run(got, want):
 
 class TestStackedMembers:
     @pytest.mark.parametrize(
-        "kw",
-        [dict(penalty=PenaltyConfig(accumulation="sum")),
-         dict(penalty=PenaltyConfig(accumulation="mean"))],
-        ids=["sum", "mean"],
+        "optimizer", [OptimizerConfig(), OptimizerConfig(kind="sgd", learning_rate=0.05)],
+        ids=["adam", "sgd"],
     )
-    def test_each_member_equals_its_own_run_bitwise(self, kw):
+    def test_each_member_equals_its_own_run_bitwise(self, optimizer):
         train, val, plan = drift_setup(k=3, n_per_batch=80)
-        cfgs = member_configs(**kw)
+        cfgs = member_configs(optimizer=optimizer)
         stacked = train_members(shared_runs(train, val, plan, cfgs), SPEC)
         assert len(stacked) == len(cfgs)
         for got, cfg in zip(stacked, cfgs):
@@ -321,9 +314,9 @@ class TestStackedMembers:
         assert not np.array_equal(stacked[3].final_params.values, stacked[0].final_params.values)
 
     def test_runs_with_any_configs_equal_their_own_runs(self):
-        # A run with fewer epochs drops out early, one with another
-        # accumulation steps with the others, and ones with another learning
-        # rate or minibatch size step in groups of their own. A
+        # A run with fewer epochs drops out early, one with another seed
+        # steps with the others, and ones with another learning rate or
+        # minibatch size step in groups of their own. A
         # cv_independent run is one member per batch, here on data shared
         # with other runs and on data of its own.
         train, val, plan = drift_setup(k=3, n_per_batch=80)
@@ -333,7 +326,7 @@ class TestStackedMembers:
         runs = shared_runs(train, val, plan, cfgs + [
             replace(c3, epochs=2),
             replace(c3, optimizer=OptimizerConfig(learning_rate=0.5)),
-            replace(c3, penalty=replace(c3.penalty, accumulation="mean")),
+            replace(c3, seed=1),
             replace(c3, minibatch_size=20),
             replace(c3, baseline_mode="cv_independent", seed=3),
         ]) + [Run(*other, replace(c3, baseline_mode="cv_independent", epochs=4, seed=5))]
