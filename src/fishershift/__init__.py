@@ -83,13 +83,10 @@ from .numerics import (
 from .penalty import (
     PenaltyConfig,
     PenaltyError,
-    PenaltyState,
     absorb_batch,
-    load_state,
     penalized_loss_and_grad,
     penalty_gradient,
     penalty_value,
-    save_state,
 )
 from .trainer import (
     BatchRecord,

@@ -239,7 +239,7 @@ def fields_from_json(cls, payload, where: str, error, keys=None) -> dict:
 
 
 def layout_to_json(layout: tuple[LayerSlice, ...]) -> list[dict]:
-    """The JSON form of a parameter layout, as snapshots and traces store it."""
+    """The JSON form of a parameter layout, as traces store it."""
     return [{**dataclasses.asdict(s), "shape": list(s.shape)} for s in layout]
 
 

@@ -38,7 +38,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .data import Dataset, FragmentationPlan, batch_moments
-from .information import empirical_fisher_diagonal, gaussian_kl
+from .information import FisherEstimate, empirical_fisher_diagonal, gaussian_kl
 from .numerics import (
     MlpSpec,
     OptimizerConfig,
@@ -58,7 +58,6 @@ from .numerics import (
 )
 from .penalty import (
     PenaltyConfig,
-    PenaltyState,
     absorb_batch,
     penalized_loss_and_grad,  # noqa: F401  (a trainer binding perfbench's tracer test reads)
     penalty_term,
@@ -120,16 +119,16 @@ class BatchRecord:
 class RunTrace:
     """Complete record of one run: per-visit records plus the final model.
 
-    ``final_penalty_state`` and ``final_optimizer_state`` ride along for
-    in-process resumption (``shift_correction(resume=)``) and inspection;
-    the JSON form carries only the records and the final parameters (the
-    penalty state has its own snapshot format), so a trace read back from
-    JSON cannot be resumed.
+    ``final_penalty_state`` (the accumulated ``FisherEstimate``, ``None``
+    when the run absorbed no batch) and ``final_optimizer_state`` ride along
+    for in-process resumption (``shift_correction(resume=)``) and
+    inspection. The JSON form carries only the records and the final
+    parameters, so a trace read back from JSON cannot be resumed.
     """
 
     records: tuple[BatchRecord, ...]
     final_params: ParameterVector
-    final_penalty_state: PenaltyState | None = None
+    final_penalty_state: FisherEstimate | None = None
     final_optimizer_state: OptimizerState | None = None
 
     def per_batch_accuracies(self) -> tuple[float, ...]:
@@ -224,7 +223,7 @@ class _Member:
     visits: tuple[tuple[int, int], ...]  # (epoch, batch index)
     params: ParameterVector
     opt_state: OptimizerState
-    state: PenaltyState
+    state: FisherEstimate | None
     records: list = field(default_factory=list)
     loss: float = 0.0  # the mean step loss of the latest visit
     history: list | None = None  # (epoch, batch index, params) per visit, if kept
@@ -261,7 +260,7 @@ def _members(spec, run: Run, resume: RunTrace | None = None,
     if resume is None:
         params = init_params(spec, run.cfg.seed)
         opt_state = init_optimizer_state(run.cfg.optimizer, params.size)
-        state = PenaltyState.empty()
+        state = None
     else:
         params, opt_state, state = (resume.final_params, resume.final_optimizer_state,
                                     resume.final_penalty_state)
@@ -300,7 +299,8 @@ def shift_correction(
     once per visit, in record order, when training is done. ``resume``, the
     in-process trace of an earlier run, continues that run from a batch
     boundary: training starts from its final parameters, optimizer state and
-    penalty state, so the two traces together equal one continuous run.
+    penalty state, so the two traces together equal one continuous run;
+    ``cfg.optimizer`` must be the config the trace's optimizer state holds.
 
     ``c3`` and ``cv_sequential`` visit epoch-major. ``cv_independent`` trains
     every batch from the seeded initialisation: batch i is a member of its
@@ -313,9 +313,13 @@ def shift_correction(
         if cfg.baseline_mode == "cv_independent":
             raise TrainerError("cv_independent trains every batch from the seed; "
                                "it cannot resume a run")
-        if resume.final_penalty_state is None or resume.final_optimizer_state is None:
+        if resume.final_optimizer_state is None:
             raise TrainerError("resume needs a trace with its final states; "
                                "a trace read from JSON has none")
+        if resume.final_optimizer_state.config != cfg.optimizer:
+            raise TrainerError(
+                f"resume: the trace's optimizer {resume.final_optimizer_state.config} "
+                f"differs from cfg.optimizer {cfg.optimizer}")
     members = _members(spec, Run(dataset, validation, plan, cfg), resume,
                        keep_history=batch_hook is not None)
     _train(spec, members)

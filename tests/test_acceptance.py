@@ -52,7 +52,6 @@ from fishershift.information import (
 from fishershift.numerics import MlpSpec, init_params, loss_and_gradient, zero_params
 from fishershift.penalty import (
     PenaltyConfig,
-    PenaltyState,
     absorb_batch,
     penalty_gradient,
     penalty_value,
@@ -224,7 +223,7 @@ def test_criterion_06_gradient_fidelity():
         anchor = params.with_values(params.values + rng.normal(scale=0.2, size=params.size))
         fisher = FisherEstimate(rng.uniform(0.05, 2.0, size=params.size), anchor, 10)
         cfg = PenaltyConfig(lam=0.3)
-        state = absorb_batch(PenaltyState.empty(), fisher)
+        state = absorb_batch(None, fisher)
 
         def pen_at(theta):
             return penalty_value(state, params.with_values(theta), cfg)

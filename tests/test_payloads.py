@@ -1,5 +1,5 @@
-"""Malformed snapshot and trace payloads, and input files that are not JSON,
-fail with their module's own error.
+"""Malformed trace payloads, and input files that are not JSON, fail with
+their module's own error.
 
 The payloads come from seeded runs. Each mutation makes one invalid: drop
 any key at any depth, swap any value for one of a wrong type (the seed picks
@@ -13,7 +13,6 @@ import pytest
 from fishershift.bench import BenchError, ExperimentReport
 from fishershift.data import DataError, ShiftRecipe, fragment, synth_shift
 from fishershift.numerics import MlpSpec
-from fishershift.penalty import PenaltyError, load_state, state_from_dict, state_to_dict
 from fishershift.trainer import RunTrace, TrainConfig, TrainerError, shift_correction
 
 SPEC = MlpSpec(input_dim=3, hidden_layers=((2, "relu"),), output_classes=2)
@@ -22,12 +21,12 @@ WRONG = {str: [7, None, [], {}], int: NOT_A_NUMBER, float: NOT_A_NUMBER,
          list: ["x", None, 3, {}], dict: ["x", None, 3, []]}
 
 
-def payloads(seed):
-    """The trace and the final penalty snapshot of a seeded c3 run."""
+def trace_payload(seed):
+    """The JSON trace of a seeded c3 run."""
     recipe = ShiftRecipe(kind="mean_drift", batch_count=2, features=3, delta=0.5)
     data, _ = synth_shift(recipe, 20, seed=seed)
     run = shift_correction(data, data, fragment(data, 2), SPEC, TrainConfig(epochs=1, seed=seed))
-    return {"trace": run.to_json_dict(), "snapshot": state_to_dict(run.final_penalty_state)}
+    return run.to_json_dict()
 
 
 def each_mutation(value, rng, keep_length):
@@ -49,42 +48,33 @@ def each_mutation(value, rng, keep_length):
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize(
-    "kind, parse, error, keep_length",
-    [("trace", RunTrace.from_json_dict, TrainerError, {"records"}),  # any record count is valid
-     ("snapshot", state_from_dict, PenaltyError, set())],
-    ids=["trace", "snapshot"],
-)
-def test_every_mutation_raises_the_module_error(seed, kind, parse, error, keep_length):
-    payload = payloads(seed)[kind]
-    parse(payload)
+def test_every_mutation_raises_the_module_error(seed):
+    payload = trace_payload(seed)
+    RunTrace.from_json_dict(payload)
     count = 0
-    for key in each_mutation(payload, np.random.default_rng(seed), keep_length):
+    # Any record count is valid, so the record list is never shortened.
+    for key in each_mutation(payload, np.random.default_rng(seed), {"records"}):
         count += 1
-        with pytest.raises(error):
-            parse(payload)
+        with pytest.raises(TrainerError):
+            RunTrace.from_json_dict(payload)
             pytest.fail(f"parsed after changing {key!r}")
     assert count > 50
 
 
 @pytest.mark.parametrize(
-    "parse, error, payload, message",
-    [(state_from_dict, PenaltyError, {"version": 1, "batches_consumed": 2}, "missing key"),
-     (RunTrace.from_json_dict, TrainerError, {"schema_version": 1}, "missing key 'records'"),
-     (state_from_dict, PenaltyError, [], "JSON object"),
-     (RunTrace.from_json_dict, TrainerError, "x", "JSON object")],
+    "payload, message",
+    [({"schema_version": 1}, "missing key 'records'"), ("x", "JSON object")],
 )
-def test_partial_payload_rejected(parse, error, payload, message):
-    with pytest.raises(error, match=message):
-        parse(payload)
+def test_partial_payload_rejected(payload, message):
+    with pytest.raises(TrainerError, match=message):
+        RunTrace.from_json_dict(payload)
 
 
 @pytest.mark.parametrize(
     "read, error",
-    [(load_state, PenaltyError),
-     (ShiftRecipe.from_json_file, DataError),
+    [(ShiftRecipe.from_json_file, DataError),
      (lambda path: ExperimentReport.from_json(path.read_bytes()), BenchError)],
-    ids=["snapshot", "recipe", "report"],
+    ids=["recipe", "report"],
 )
 @pytest.mark.parametrize("content", [b"garbage", b"\x80 not unicode"], ids=["garbage", "bytes"])
 def test_file_that_is_not_json_raises_the_module_error(read, error, content, tmp_path):

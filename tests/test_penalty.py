@@ -6,15 +6,10 @@ from fishershift.numerics import MlpSpec, init_params, loss_and_gradient, zero_p
 from fishershift.penalty import (
     PenaltyConfig,
     PenaltyError,
-    PenaltyState,
     absorb_batch,
-    load_state,
     penalized_loss_and_grad,
     penalty_gradient,
     penalty_value,
-    save_state,
-    state_from_dict,
-    state_to_dict,
 )
 from oracles import central_difference_gradient, max_relative_error
 
@@ -33,16 +28,14 @@ class TestAbsorb:
     def test_first_absorption_keeps_the_estimate(self):
         params = init_params(SPEC, 0)
         fisher = estimate_for(full_vector(params, 2.0), params, n=7)
-        state = absorb_batch(PenaltyState.empty(), fisher)
-        assert state.batches_consumed == 1
-        assert state.accumulated is fisher
+        assert absorb_batch(None, fisher) is fisher
 
     def test_sum_accumulation_adds(self):
         params = init_params(SPEC, 0)
-        state = absorb_batch(PenaltyState.empty(), estimate_for(full_vector(params, 1.0), params))
+        state = absorb_batch(None, estimate_for(full_vector(params, 1.0), params))
         state = absorb_batch(state, estimate_for(full_vector(params, 3.0), params))
-        assert np.allclose(state.accumulated.diagonal, 4.0)
-        assert state.batches_consumed == 2
+        assert np.allclose(state.diagonal, 4.0)
+        assert state.sample_count == 20
 
     def test_later_absorbs_leave_every_estimate_unwritten(self):
         # The state holds the first estimate itself, so summing must make a
@@ -50,22 +43,22 @@ class TestAbsorb:
         params = init_params(SPEC, 0)
         first = estimate_for(full_vector(params, 1.0), params, n=5)
         second = estimate_for(full_vector(params, 3.0), params, n=6)
-        state = absorb_batch(absorb_batch(PenaltyState.empty(), first), second)
+        state = absorb_batch(absorb_batch(None, first), second)
         assert np.all(first.diagonal == 1.0) and first.sample_count == 5
         assert np.all(second.diagonal == 3.0) and second.sample_count == 6
-        assert state.accumulated.sample_count == 11
+        assert state.sample_count == 11
 
     def test_anchor_tracks_latest_batch_end(self):
         p0 = init_params(SPEC, 0)
         p1 = init_params(SPEC, 1)
-        state = absorb_batch(PenaltyState.empty(), estimate_for(full_vector(p0, 1.0), p0))
+        state = absorb_batch(None, estimate_for(full_vector(p0, 1.0), p0))
         state = absorb_batch(state, estimate_for(full_vector(p1, 1.0), p1))
-        assert state.accumulated.anchor is p1
+        assert state.anchor is p1
 
     def test_layout_mismatch_rejected(self):
         params = init_params(SPEC, 0)
         other = init_params(MlpSpec(input_dim=3), 0)
-        state = absorb_batch(PenaltyState.empty(), estimate_for(full_vector(params, 1.0), params))
+        state = absorb_batch(None, estimate_for(full_vector(params, 1.0), params))
         with pytest.raises(PenaltyError, match="layout"):
             absorb_batch(state, estimate_for(full_vector(other, 1.0), other))
 
@@ -75,7 +68,7 @@ class TestPenaltyValue:
         spec = MlpSpec(input_dim=1, hidden_layers=(), output_classes=2, bias=False)
         anchor = zero_params(spec).with_values(np.array([anchor_value, 0.0]))
         fisher = estimate_for(np.array([fisher_value, 0.0]), anchor)
-        state = absorb_batch(PenaltyState.empty(), fisher)
+        state = absorb_batch(None, fisher)
         return spec, anchor, state
 
     def test_lambda_zero_vanishes(self):
@@ -85,7 +78,7 @@ class TestPenaltyValue:
 
     def test_empty_state_contributes_nothing(self):
         params = init_params(SPEC, 0)
-        assert penalty_value(PenaltyState.empty(), params, PenaltyConfig(lam=0.5)) == 0.0
+        assert penalty_value(None, params, PenaltyConfig(lam=0.5)) == 0.0
 
     def test_hand_evaluated_quadratic(self):
         # lam/2 * F * shift^2 = 0.05 * 2 * 0.25
@@ -109,7 +102,7 @@ class TestPenaltyValue:
     def test_anchor_is_unique_minimizer_with_positive_fisher(self):
         params = init_params(SPEC, 3)
         fisher = estimate_for(full_vector(params, 0.8), params)
-        state = absorb_batch(PenaltyState.empty(), fisher)
+        state = absorb_batch(None, fisher)
         cfg = PenaltyConfig(lam=0.3)
         assert penalty_value(state, params, cfg) == 0.0
         rng = np.random.default_rng(0)
@@ -121,7 +114,7 @@ class TestPenaltyValue:
         rng = np.random.default_rng(1)
         params = init_params(SPEC, 4)
         fisher = estimate_for(rng.uniform(0.0, 2.0, size=params.size), params)
-        state = absorb_batch(PenaltyState.empty(), fisher)
+        state = absorb_batch(None, fisher)
         for _ in range(50):
             theta = params.with_values(rng.normal(scale=2.0, size=params.size))
             assert penalty_value(state, theta, PenaltyConfig(lam=rng.uniform(0, 1))) >= 0.0
@@ -135,7 +128,7 @@ class TestPenalizedLossAndGrad:
         labels = rng.integers(0, 2, size=12)
         anchor = params.with_values(params.values + rng.normal(scale=0.3, size=params.size))
         fisher = estimate_for(rng.uniform(0.1, 2.0, size=params.size), anchor)
-        state = absorb_batch(PenaltyState.empty(), fisher)
+        state = absorb_batch(None, fisher)
         return params, x, labels, state
 
     def test_lambda_zero_reduces_to_plain_cross_entropy_bitwise(self):
@@ -148,7 +141,7 @@ class TestPenalizedLossAndGrad:
 
     def test_at_anchor_gradient_equals_pure_ce(self):
         params, x, labels, state = self.seeded_case(1)
-        anchor = state.accumulated.anchor
+        anchor = state.anchor
         cfg = PenaltyConfig(lam=0.5)
         _, grad_p = penalized_loss_and_grad(SPEC, anchor, x, labels, state, cfg)
         _, grad_c = loss_and_gradient(SPEC, anchor, x, labels)
@@ -179,33 +172,3 @@ class TestConfigValidation:
         assert PenaltyConfig().accumulation == "sum"
         with pytest.raises(TypeError, match="accumulation"):
             PenaltyConfig(accumulation="mean")
-
-
-class TestSnapshots:
-    def test_round_trip_through_dict(self):
-        params = init_params(SPEC, 5)
-        fisher = estimate_for(np.linspace(0.0, 1.0, params.size), params, n=42)
-        state = absorb_batch(PenaltyState.empty(), fisher)
-        restored = state_from_dict(state_to_dict(state))
-        assert restored.batches_consumed == state.batches_consumed
-        assert np.array_equal(restored.accumulated.diagonal, state.accumulated.diagonal)
-        assert np.array_equal(restored.accumulated.anchor.values, params.values)
-        assert restored.accumulated.anchor.layout == params.layout
-        assert restored.accumulated.sample_count == 42
-
-    def test_empty_state_round_trip(self):
-        restored = state_from_dict(state_to_dict(PenaltyState.empty()))
-        assert restored.is_empty
-
-    def test_file_round_trip(self, tmp_path):
-        params = init_params(SPEC, 6)
-        fisher = estimate_for(full_vector(params, 0.5), params)
-        state = absorb_batch(PenaltyState.empty(), fisher)
-        path = tmp_path / "state.json"
-        save_state(state, path)
-        restored = load_state(path)
-        assert np.array_equal(restored.accumulated.diagonal, state.accumulated.diagonal)
-
-    def test_unsupported_version_rejected(self):
-        with pytest.raises(PenaltyError, match="version"):
-            state_from_dict({"version": 99, "batches_consumed": 0})

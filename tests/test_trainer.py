@@ -11,6 +11,7 @@ from fishershift.data import (
     synth_shift,
     train_validation_split,
 )
+from fishershift.information import empirical_fisher_diagonal
 from fishershift.numerics import (
     MlpSpec,
     NumericsError,
@@ -21,7 +22,7 @@ from fishershift.numerics import (
     optimizer_step,
     zero_params,
 )
-from fishershift.penalty import PenaltyConfig
+from fishershift.penalty import PenaltyConfig, absorb_batch
 from fishershift.trainer import (
     Run,
     RunTrace,
@@ -108,14 +109,21 @@ class TestReduction:
         b = shift_correction(train, val, plan, SPEC, cv_cfg)
         assert np.array_equal(a.final_params.values, b.final_params.values)
         assert a.records == b.records
+        # c3 absorbs its batches even at lambda 0; cv_sequential absorbs none.
+        assert a.final_penalty_state is not None
+        assert b.final_penalty_state is None
 
     def test_positive_lambda_changes_the_trajectory(self):
         train, val, plan = drift_setup(k=3, n_per_batch=80)
-        a = shift_correction(train, val, plan, SPEC, quick_config(penalty=PenaltyConfig(lam=0.5)))
+        visits = []
+        a = shift_correction(train, val, plan, SPEC, quick_config(penalty=PenaltyConfig(lam=0.5)),
+                             batch_hook=lambda *visit: visits.append(visit))
         b = shift_correction(train, val, plan, SPEC, quick_config(penalty=PenaltyConfig(lam=0.0)))
         assert not np.array_equal(a.final_params.values, b.final_params.values)
-        # The penalty state is never reset: every visit of every epoch adds one batch.
-        assert a.final_penalty_state.batches_consumed == 2 * 3
+        # The penalty state is never reset: every visit of every epoch adds its batch.
+        assert len(visits) == 2 * 3
+        assert_same_penalty_state(a.final_penalty_state, absorbed(train, plan, visits))
+        assert a.final_penalty_state.sample_count == 2 * train.n
 
 
 class TestDeterminismAndCausality:
@@ -141,10 +149,14 @@ class TestDeterminismAndCausality:
         prefix_rows = np.r_[tuple(plan.batch(i) for i in range(k_prefix))]
         prefix_ds = ds.subset(prefix_rows)
         prefix_plan = fragment(prefix_ds, k_prefix)
-        prefix = shift_correction(prefix_ds, val, prefix_plan, SPEC, cfg)
+        visits = []
+        prefix = shift_correction(prefix_ds, val, prefix_plan, SPEC, cfg,
+                                  batch_hook=lambda *visit: visits.append(visit))
 
         assert prefix.records == full.records[:k_prefix]
-        assert prefix.final_penalty_state.batches_consumed == k_prefix
+        assert_same_penalty_state(prefix.final_penalty_state,
+                                  absorbed(prefix_ds, prefix_plan, visits))
+        assert prefix.final_penalty_state.sample_count == prefix_ds.n
 
     def resumable_run(self, baseline="c3"):
         """A 4-batch run, and a run of its first two batches to resume from."""
@@ -175,6 +187,15 @@ class TestDeterminismAndCausality:
         read_back = RunTrace.from_json_dict(json.loads(head.to_json()))
         with pytest.raises(TrainerError, match="final states"):
             shift_correction(ds, val, plan, SPEC, cfg, resume=read_back)
+
+    def test_resume_rejects_another_optimizer(self):
+        # The trace's Adam state would otherwise win over cfg.optimizer unseen.
+        ds, val, plan, cfg, head = self.resumable_run()
+        sgd = replace(cfg, optimizer=OptimizerConfig(kind="sgd", learning_rate=0.5))
+        with pytest.raises(TrainerError, match="optimizer") as exc:
+            shift_correction(ds, val, plan, SPEC, sgd, resume=head)
+        message = str(exc.value)
+        assert "\n" not in message and "'adam'" in message and "'sgd'" in message
 
     def test_records_only_reference_earlier_batches(self):
         train, val, plan = drift_setup(k=4, n_per_batch=60)
@@ -288,13 +309,26 @@ def assert_same_run(got, want):
     opt, want_opt = got.final_optimizer_state, want.final_optimizer_state
     assert opt.step_count == want_opt.step_count and opt.config == want_opt.config
     assert np.array_equal(opt.m, want_opt.m) and np.array_equal(opt.v, want_opt.v)
-    state, want_state = got.final_penalty_state, want.final_penalty_state
-    assert state.batches_consumed == want_state.batches_consumed
-    if not want_state.is_empty:
-        acc, want_acc = state.accumulated, want_state.accumulated
-        assert np.array_equal(acc.diagonal, want_acc.diagonal)
-        assert np.array_equal(acc.anchor.values, want_acc.anchor.values)
-        assert acc.sample_count == want_acc.sample_count
+    assert_same_penalty_state(got.final_penalty_state, want.final_penalty_state)
+
+
+def assert_same_penalty_state(state, want):
+    assert (state is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(state.diagonal, want.diagonal)
+        assert np.array_equal(state.anchor.values, want.anchor.values)
+        assert state.sample_count == want.sample_count
+
+
+def absorbed(dataset, plan, visits):
+    """The penalty state a c3 run should end with, from its ``batch_hook``
+    visits: each visit's Fisher diagonal on its batch, at the parameters the
+    visit ended with, folded through ``absorb_batch``."""
+    state = None
+    for _, i, params in visits:
+        x, y = dataset.rows(plan.batch(i))
+        state = absorb_batch(state, empirical_fisher_diagonal(SPEC, params, x, y))
+    return state
 
 
 class TestStackedMembers:

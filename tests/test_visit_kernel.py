@@ -17,7 +17,6 @@ from fishershift.numerics import (
 )
 from fishershift.penalty import (
     PenaltyConfig,
-    PenaltyState,
     absorb_batch,
     penalized_loss_and_grad,
     penalty_term,
@@ -35,8 +34,9 @@ def batch(spec, n, seed):
 
 def consumed_state(spec, batches):
     """A penalty state that has absorbed ``batches`` batches, each at its own
-    anchor: one keeps the first estimate itself, two sums two diagonals."""
-    state = PenaltyState.empty()
+    anchor: none is ``None``, one keeps the first estimate itself, two sums
+    two diagonals."""
+    state = None
     for seed in (11, 12)[:batches]:
         x, y = batch(spec, 40, seed)
         state = absorb_batch(state, empirical_fisher_diagonal(spec, init_params(spec, seed), x, y))
@@ -56,15 +56,14 @@ def reference_visit(spec, params, opt_state, x, y, minibatch_size, state, cfg):
 
 def member_penalties(spec, penalty, members):
     """One (state, config) per member: M=1 is the parametrised penalty alone;
-    M=3 adds a lambda-0 member and an empty-state member; M=4 adds a second
+    M=3 adds a lambda-0 member and a member with no state; M=4 adds a second
     penalised member after them, so the penalised rows are not contiguous."""
-    batches = {"empty": 0, "one": 1, "sum": 2}[penalty]
-    state = consumed_state(spec, batches) if batches else PenaltyState.empty()
+    state = consumed_state(spec, {"empty": 0, "one": 1, "sum": 2}[penalty])
     cfg, zero, stronger = (PenaltyConfig(lam=lam) for lam in (0.3, 0.0, 0.7))
     sets = {
         1: [(state, cfg)],
-        3: [(state, zero), (state, cfg), (PenaltyState.empty(), cfg)],
-        4: [(state, cfg), (state, zero), (PenaltyState.empty(), cfg), (state, stronger)],
+        3: [(state, zero), (state, cfg), (None, cfg)],
+        4: [(state, cfg), (state, zero), (None, cfg), (state, stronger)],
     }
     return sets[members]
 
