@@ -1,0 +1,14 @@
+"""The demos run as scripts and leave no file behind."""
+
+import pathlib
+import runpy
+
+DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
+
+
+def test_sequential_training_demo_resumes_in_process(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS / "03_sequential_training.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "final parameters equal the continuous run's: True" in out
+    assert list(tmp_path.iterdir()) == []

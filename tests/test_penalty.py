@@ -9,6 +9,7 @@ from fishershift.penalty import (
     absorb_batch,
     penalized_loss_and_grad,
     penalty_gradient,
+    penalty_term,
     penalty_value,
 )
 from oracles import central_difference_gradient, max_relative_error
@@ -80,6 +81,11 @@ class TestPenaltyValue:
         params = init_params(SPEC, 0)
         assert penalty_value(None, params, PenaltyConfig(lam=0.5)) == 0.0
 
+    def test_empty_state_has_zero_gradient(self):
+        params = init_params(SPEC, 0)
+        grad = penalty_gradient(None, params, PenaltyConfig(lam=0.5))
+        assert grad.shape == params.values.shape and not grad.any()
+
     def test_hand_evaluated_quadratic(self):
         # lam/2 * F * shift^2 = 0.05 * 2 * 0.25
         spec, anchor, state = self.one_param_state(2.0, 0.0)
@@ -139,6 +145,16 @@ class TestPenalizedLossAndGrad:
         assert loss_p == loss_c
         assert np.array_equal(grad_p.values, grad_c.values)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_empty_state_reduces_to_plain_cross_entropy_bitwise(self, lam):
+        # No batch consumed yet: no penalty, whatever lambda is.
+        params, x, labels, _ = self.seeded_case(2)
+        loss_p, grad_p = penalized_loss_and_grad(SPEC, params, x, labels, None,
+                                                 PenaltyConfig(lam=lam))
+        loss_c, grad_c = loss_and_gradient(SPEC, params, x, labels)
+        assert loss_p == loss_c
+        assert np.array_equal(grad_p.values, grad_c.values)
+
     def test_at_anchor_gradient_equals_pure_ce(self):
         params, x, labels, state = self.seeded_case(1)
         anchor = state.anchor
@@ -160,6 +176,51 @@ class TestPenalizedLossAndGrad:
         fd = central_difference_gradient(pen_at, params.values, step=1e-4)
         analytic = penalty_gradient(state, params, cfg)
         assert max_relative_error(analytic, fd, floor=1e-8) < 1e-6
+
+
+class TestPenaltyTerm:
+    """``penalty_term`` over a stack of members: which members pay, how their
+    rows are indexed, and that each pays what it would pay alone."""
+
+    # One letter per member: "p" has a state and lam 0.3, "n" has no state
+    # and lam 0.3, "z" has a state and lam 0.
+    @pytest.mark.parametrize(
+        "members, rows",
+        [("ppp", slice(0, 3)), ("npp", slice(1, 3)), ("pnp", [0, 2]), ("pzp", [0, 2]),
+         ("nz", None)],
+    )
+    def test_penalised_rows_and_values(self, members, rows):
+        rng = np.random.default_rng(len(members))
+        params = [init_params(SPEC, seed) for seed in range(len(members))]
+        states = [
+            None if kind == "n" else estimate_for(
+                rng.uniform(0.1, 2.0, size=p.size),
+                p.with_values(p.values + rng.normal(scale=0.3, size=p.size)))
+            for kind, p in zip(members, params)
+        ]
+        lams = [0.0 if kind == "z" else 0.3 for kind in members]
+        term = penalty_term(states, lams, params)
+        if rows is None:
+            assert term is None
+            return
+        got_rows, quadratic = term
+        if isinstance(rows, slice):
+            assert got_rows == rows
+        else:
+            assert isinstance(got_rows, np.ndarray) and got_rows.tolist() == rows
+        paying = [i for i, kind in enumerate(members) if kind == "p"]
+        values, grads = quadratic(np.stack([params[i].values for i in paying]))
+        for value, grad, i in zip(values, grads, paying):
+            cfg = PenaltyConfig(lam=lams[i])
+            assert value == penalty_value(states[i], params[i], cfg)
+            assert np.array_equal(grad, penalty_gradient(states[i], params[i], cfg))
+
+    def test_layout_mismatch_rejected(self):
+        params = init_params(SPEC, 0)
+        other = init_params(MlpSpec(input_dim=3), 0)
+        state = estimate_for(full_vector(params, 1.0), params)
+        with pytest.raises(PenaltyError, match="layout"):
+            penalty_term((state,), (0.3,), (other,))
 
 
 class TestConfigValidation:

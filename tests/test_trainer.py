@@ -158,12 +158,12 @@ class TestDeterminismAndCausality:
                                   absorbed(prefix_ds, prefix_plan, visits))
         assert prefix.final_penalty_state.sample_count == prefix_ds.n
 
-    def resumable_run(self, baseline="c3"):
+    def resumable_run(self, baseline="c3", **kw):
         """A 4-batch run, and a run of its first two batches to resume from."""
         recipe = ShiftRecipe(kind="mean_drift", batch_count=4, features=4, delta=0.4)
         ds, plan = synth_shift(recipe, 80, seed=5)
         val = Dataset(ds.features[:40], ds.labels[:40], ds.class_count)
-        cfg = quick_config(epochs=1, penalty=PenaltyConfig(lam=0.3), baseline_mode=baseline)
+        cfg = quick_config(epochs=1, penalty=PenaltyConfig(lam=0.3), baseline_mode=baseline, **kw)
         head_ds = ds.subset(np.r_[plan.batch(0), plan.batch(1)])
         head = shift_correction(head_ds, val, fragment(head_ds, 2), SPEC, cfg)
         return ds, val, plan, cfg, head
@@ -182,6 +182,24 @@ class TestDeterminismAndCausality:
         # Parameters, Adam state and penalty state, bit for bit.
         assert_same_run(replace(tail, records=full.records), full)
 
+    def test_resumed_sgd_run_matches_continuous_run(self):
+        # The optimizer check compares configs, so an SGD trace resumes under
+        # the same SGD config.
+        ds, val, plan, cfg, head = self.resumable_run(
+            optimizer=OptimizerConfig(kind="sgd", learning_rate=0.05))
+        full = shift_correction(ds, val, plan, SPEC, cfg)
+        tail_ds = ds.subset(np.r_[plan.batch(2), plan.batch(3)])
+        tail = shift_correction(tail_ds, val, fragment(tail_ds, 2), SPEC, cfg, resume=head)
+        assert_same_run(replace(tail, records=full.records), full)
+
+    def test_trace_read_from_json_has_no_final_states(self):
+        _, _, _, _, head = self.resumable_run()
+        assert head.final_penalty_state is not None and head.final_optimizer_state is not None
+        read_back = RunTrace.from_json_dict(json.loads(head.to_json()))
+        assert read_back.final_penalty_state is None
+        assert read_back.final_optimizer_state is None
+        assert np.array_equal(read_back.final_params.values, head.final_params.values)
+
     def test_resume_needs_a_trace_with_final_states(self):
         ds, val, plan, cfg, head = self.resumable_run()
         read_back = RunTrace.from_json_dict(json.loads(head.to_json()))
@@ -196,6 +214,13 @@ class TestDeterminismAndCausality:
             shift_correction(ds, val, plan, SPEC, sgd, resume=head)
         message = str(exc.value)
         assert "\n" not in message and "'adam'" in message and "'sgd'" in message
+
+    def test_resume_rejects_another_learning_rate(self):
+        ds, val, plan, cfg, head = self.resumable_run()
+        faster = replace(cfg, optimizer=OptimizerConfig(learning_rate=0.01))
+        with pytest.raises(TrainerError, match="optimizer") as exc:
+            shift_correction(ds, val, plan, SPEC, faster, resume=head)
+        assert "0.001" in str(exc.value) and "0.01" in str(exc.value)
 
     def test_records_only_reference_earlier_batches(self):
         train, val, plan = drift_setup(k=4, n_per_batch=60)
