@@ -1,9 +1,10 @@
 """Closed-form KL, its quadrature cross-check, and the Fisher connection.
 
 Walks the information-theory toolbox: the Gaussian KL formula against a
-numeric integral, analytic versus empirical Fisher information, and the
-second-order expansion that approximates a small-shift KL by half the
-squared shift times the Fisher information.
+numeric integral, a family's analytic Fisher information (``fisher``)
+versus the mean squared score, and the second-order expansion that
+approximates a small-shift KL by half the squared shift times the Fisher
+information.
 """
 
 import numpy as np
@@ -12,7 +13,6 @@ from fishershift import (
     Bernoulli,
     GaussianMean,
     GaussianMoments,
-    analytic_fisher,
     discrete_kl,
     empirical_fisher_scalar,
     gaussian_kl,
@@ -45,16 +45,16 @@ print("== Fisher information: analytic vs mean squared score ==")
 rng = np.random.default_rng(0)
 bern = Bernoulli()
 sample = bern.simulate(rng, 0.5, 100_000)
-print(f"  Bernoulli(0.5): analytic {analytic_fisher(bern, 0.5):.4f}   "
+print(f"  Bernoulli(0.5): analytic {bern.fisher(0.5):.4f}   "
       f"empirical {empirical_fisher_scalar(bern, 0.5, sample):.4f}")
 gauss = GaussianMean(4.0)
 sample = gauss.simulate(rng, 1.0, 100_000)
-print(f"  Gaussian mean (var 4): analytic {analytic_fisher(gauss, 1.0):.4f}   "
+print(f"  Gaussian mean (var 4): analytic {gauss.fisher(1.0):.4f}   "
       f"empirical {empirical_fisher_scalar(gauss, 1.0, sample):.4f}")
 
 print()
 print("== Second-order KL expansion: half shift^2 times Fisher ==")
-fisher = analytic_fisher(bern, 0.5)
+fisher = bern.fisher(0.5)
 for delta in (0.1, 0.05, 0.025):
     exact = discrete_kl([0.5, 0.5], [0.5 + delta, 0.5 - delta])
     approx = kl_second_order(0.5 + delta, 0.5, fisher)

@@ -33,10 +33,10 @@ print(emit_report(report, "markdown"))
 
 print("== Penalty-strength sweep on the 2-batch cell ==")
 sweep_proto = ProtocolSpec(splits=((0.50, 2),), repetitions=2)
-sweep_report, series = lambda_sweep(
+sweep_report = lambda_sweep(
     recipe, (0.01, 0.04, 0.07, 0.1), sweep_proto, cfg, spec, samples=2000
 )
 verify_report(sweep_report)
-print(emit_series_csv(series))
+print(emit_series_csv(sweep_report.lambda_series))
 print("Accuracy rises with the penalty strength on drifting batches; the")
 print("series CSV above is the two-column plot input.")

@@ -48,7 +48,7 @@ print()
 print("== Fragmentation: ordered near-equal batches ==")
 wide = Dataset(rng.normal(size=(10, 2)), rng.integers(0, 2, size=10), 2)
 plan = fragment(wide, 3)
-print(f"  10 rows over 3 batches -> sizes {plan.batch_sizes()}")
+print(f"  10 rows over 3 batches -> sizes {plan.sizes}")
 moments = batch_moments(wide, plan, 0)
 print(f"  first batch per-feature mean {np.round(moments.mean, 3)} "
       f"variance {np.round(moments.variance, 3)}")

@@ -52,7 +52,6 @@ from .information import (
     GaussianMean,
     GaussianMoments,
     InformationError,
-    analytic_fisher,
     crlb_verify,
     discrete_kl,
     empirical_fisher_diagonal,
@@ -95,7 +94,6 @@ from .trainer import (
     TrainConfig,
     TrainerError,
     evaluate,
-    kl_diagnostic_matrix,
     shift_correction,
     train_members,
 )

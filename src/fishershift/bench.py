@@ -54,7 +54,6 @@ from .numerics import (
     fields_from_json,
     json_field,
     json_object,
-    parse_json,
 )
 from .penalty import PenaltyConfig
 from .trainer import RUN_MODES, Run, TrainConfig, shift_correction, train_members
@@ -187,10 +186,6 @@ class ExperimentReport:
             lambda_series=tuple((p[0], p[1]) for p in series),
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentReport":
-        return cls.from_json_dict(parse_json(text, "report", BenchError))
-
 
 def delta_value(a: float, b: float) -> float:
     """Plain difference, used for every report delta column."""
@@ -275,7 +270,7 @@ def _rep_splits(source, proto: ProtocolSpec, k: int, seed: int, samples: int) ->
     dataset = _materialise(source, proto.folds, samples // proto.folds, seed)
     order = row_order(dataset.n, seed, shuffle_rows(source, proto.shuffle))
     folds = fragment(dataset, proto.folds)
-    sizes = folds.batch_sizes()
+    sizes = folds.sizes
     splits = []
     for rot in range(proto.folds):
         held_out = folds.batch(rot)
@@ -460,21 +455,21 @@ def lambda_sweep(
     spec: MlpSpec,
     samples: int = 5000,
     jobs: int = 1,
-) -> tuple[ExperimentReport, tuple[tuple[float, float], ...]]:
-    """One report row per (split, lambda); returns the (lambda, accuracy) series."""
+) -> ExperimentReport:
+    """One report row per (split, lambda), and the (lambda, mean c3
+    accuracy) series in ``lambda_series``."""
     values = tuple(LAMBDA_GRID if values is None else values)
     if not values:
         raise BenchError("lambda sweep needs at least one value")
     if not all(math.isfinite(v) and v >= 0 for v in values):
         raise BenchError("lambda values must be finite and >= 0")
     rows, elapsed = _execute(source, proto, train_cfg, spec, values, samples, None, jobs)
-    report = ExperimentReport(
+    return ExperimentReport(
         base_seed=train_cfg.seed,
         rows=tuple(rows),
         lambda_series=_lambda_series(rows, values),
         wall_time_s=elapsed,
     )
-    return report, report.lambda_series
 
 
 def _lambda_series(rows, grid) -> tuple[tuple[float, float], ...]:

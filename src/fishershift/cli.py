@@ -215,13 +215,13 @@ def cmd_sweep(args) -> int:
         input_dim, classes = source.features, source.classes
     spec = model_spec(args, input_dim, classes)
     cfg = train_config(args, "c3")
-    report, series = lambda_sweep(
+    report = lambda_sweep(
         source, args.values, protocol_spec(args), cfg, spec, samples=args.samples, jobs=args.jobs
     )
     verify_report(report)
     write_atomic(args.out, report.to_json())
     series_path = args.series_out or os.path.splitext(args.out)[0] + ".series.csv"
-    write_atomic(series_path, emit_series_csv(series))
+    write_atomic(series_path, emit_series_csv(report.lambda_series))
     print(f"wrote {args.out} ({len(report.rows)} rows) and {series_path}")
     return 0
 
@@ -235,7 +235,7 @@ def cmd_synth(args) -> int:
         "samples_per_batch": args.samples_per_batch,
         "seed": args.seed,
         "rows": dataset.n,
-        "batch_sizes": list(plan.batch_sizes()),
+        "batch_sizes": list(plan.sizes),
     }
     write_atomic(args.out + ".meta.json", canonical_json(meta))
     print(f"wrote {args.out} ({dataset.n} rows, {recipe.batch_count} ordered batches)")

@@ -98,9 +98,6 @@ class FragmentationPlan:
         start = sum(self.sizes[:i])
         return slice(start, start + self.sizes[i])
 
-    def batch_sizes(self) -> tuple[int, ...]:
-        return self.sizes
-
 
 def fragment(dataset: Dataset, k: int) -> FragmentationPlan:
     """Cut a dataset's rows, in their order, into ``k`` near-equal batches.

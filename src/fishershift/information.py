@@ -16,8 +16,9 @@ import numpy as np
 from .numerics import (
     MlpSpec,
     ParameterVector,
+    cross_entropy_loss,
+    forward,
     loss_and_gradient,
-    mean_log_likelihood,
     score_square_mean,
 )
 
@@ -215,11 +216,6 @@ class GaussianMean:
         )
 
 
-def analytic_fisher(family, param: float) -> float:
-    """Exact Fisher information of a scalar family at ``param``."""
-    return family.fisher(param)
-
-
 def empirical_fisher_scalar(family, param: float, sample) -> float:
     """Mean squared score over an observed sample (score-variance form)."""
     s = family.score(param, np.asarray(sample, dtype=np.float64))
@@ -316,10 +312,12 @@ def negative_hessian_diagonal(fn, theta, step: float = 1e-4) -> np.ndarray:
 def hessian_diagonal_fd_oracle(
     spec: MlpSpec, params: ParameterVector, x, labels, step: float = 1e-4
 ) -> np.ndarray:
-    """Negative Hessian diagonal of the mean log-likelihood of a classifier."""
+    """Negative Hessian diagonal of the mean log-likelihood of a classifier,
+    the negated cross-entropy loss."""
 
     def ll(theta):
-        return mean_log_likelihood(spec, params.with_values(theta), x, labels)
+        loss, _ = cross_entropy_loss(forward(spec, params.with_values(theta), x), labels)
+        return -loss
 
     return negative_hessian_diagonal(ll, params.values, step=step)
 

@@ -146,9 +146,6 @@ class ParameterVector:
     def with_values(self, values: np.ndarray) -> "ParameterVector":
         return ParameterVector(values, self.layout)
 
-    def same_layout(self, other: "ParameterVector") -> bool:
-        return self.layout == other.layout
-
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -616,13 +613,6 @@ def score_square_mean(spec: MlpSpec, params: ParameterVector, x, labels) -> np.n
     return acc[0]
 
 
-def mean_log_likelihood(spec: MlpSpec, params: ParameterVector, x, labels) -> float:
-    """Mean log P(label | input); the negation of the cross-entropy loss."""
-    logits = forward(spec, params, x)
-    loss, _ = cross_entropy_loss(logits, labels)
-    return -loss
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     kind: str = "adam"
@@ -687,7 +677,7 @@ def optimizer_step(
     state: OptimizerState, params: ParameterVector, grad: ParameterVector
 ) -> tuple[ParameterVector, OptimizerState]:
     """One SGD or bias-corrected Adam update; returns fresh values."""
-    if not params.same_layout(grad):
+    if params.layout != grad.layout:
         raise NumericsError("parameter and gradient layouts differ")
     g = grad.values
     if not np.all(np.isfinite(g)):
@@ -715,8 +705,9 @@ def train_visit(
     optimizer state per member; the states share one config and step count.
     ``x`` is the batch, (rows, features) with labels (rows,), shared by
     every member; or a list of M such batches with a list of M label
-    vectors, one per member. A shared batch's minibatches are views of it;
-    per-member batches are never stacked whole: each step copies only its
+    vectors, one per member, the form the trainer passes. The minibatches
+    of a shared batch, or of a list of one, are views of it; with more
+    members, batches are never stacked whole: each step copies only its
     minibatch rows of each into one (M, rows, features) buffer, so members
     may pass the same array. The members are stacked into one (M, P)
     matrix, and each step runs the forward pass, softmax cross-entropy

@@ -55,7 +55,7 @@ def absorb_batch(state: FisherEstimate | None, fisher: FisherEstimate) -> Fisher
     """
     if state is None:
         return fisher
-    if not state.anchor.same_layout(fisher.anchor):
+    if state.anchor.layout != fisher.anchor.layout:
         raise PenaltyError("fisher layout does not match the accumulated state")
     return FisherEstimate(state.diagonal + fisher.diagonal, fisher.anchor,
                           state.sample_count + fisher.sample_count)
@@ -82,7 +82,7 @@ def penalty_term(states, lams, members):
     if not penalised:
         return None
     for i in penalised:
-        if not states[i].anchor.same_layout(members[i]):
+        if states[i].anchor.layout != members[i].layout:
             raise PenaltyError("parameter layout does not match the penalty state")
     accumulated = [states[i] for i in penalised]
     lams = [lams[i] for i in penalised]

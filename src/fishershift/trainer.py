@@ -17,8 +17,9 @@ member, or for ``cv_independent`` one member per batch.
 ``shift_correction`` trains one run, ``train_members`` any runs as one stack.
 Each visit, the members whose batch sizes, minibatch sizes, optimizer
 configs and step counts agree step through one ``numerics.train_visit``
-call, and the members of each validation set are evaluated in one stacked
-forward pass. Each member's trace is bit-identical to a run of it alone.
+call that gets one batch per member, and the members of each validation set
+are evaluated in one stacked forward pass. Each member's trace is
+bit-identical to a run of it alone.
 ``train_visit`` works on buffers private to the visit; the parameters it
 hands back are fresh ``ParameterVector``s that the Fisher estimate, the
 penalty anchor, evaluation and the trace all share, and that nothing writes
@@ -189,22 +190,6 @@ def evaluate(spec: MlpSpec, params: ParameterVector, dataset: Dataset) -> float:
     return _evaluate_stack(spec, (params,), dataset)[0]
 
 
-def kl_diagnostic_matrix(dataset: Dataset, plan: FragmentationPlan) -> np.ndarray:
-    """Full pairwise batch-distribution KL matrix, for offline analysis.
-
-    Entry (i, j) is the moment-matched Gaussian KL from batch i to batch j;
-    training itself only ever consumes the backward-looking half (j < i).
-    """
-    k = plan.batch_count
-    moments = [batch_moments(dataset, plan, i) for i in range(k)]
-    out = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                out[i, j] = gaussian_kl(moments[i], moments[j])
-    return out
-
-
 class Run(NamedTuple):
     """One training run of a stack: its data, validation set, plan and config."""
 
@@ -233,10 +218,6 @@ class _Member:
         # Only c3 pays the penalty; the baselines train with lambda 0.
         cfg = self.run.cfg
         self.lam = cfg.penalty.lam if cfg.baseline_mode == "c3" else 0.0
-
-    def batch_key(self, v: int) -> tuple:
-        """Identifies the batch of visit ``v``: members with equal keys share it."""
-        return id(self.run.dataset), id(self.run.plan), self.visits[v][1]
 
     def batch(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only views of the rows and labels of the batch of visit ``v``."""
@@ -350,12 +331,9 @@ def train_members(runs, spec: MlpSpec) -> tuple[RunTrace, ...]:
 def _step(spec, members, v: int) -> None:
     """Visit ``v`` of ``members``, whose batches have equal sizes and whose
     minibatch size, optimizer config and step count agree: one
-    ``train_visit`` call, then each ``c3`` member absorbs its own batch's
-    Fisher diagonal. The call gets the batch alone when every member
-    shares it, else one entry per member."""
-    batches = [member.batch(v) for member in members]
-    shared = len({member.batch_key(v) for member in members}) == 1
-    x, y = batches[0] if shared else zip(*batches)
+    ``train_visit`` call on one batch per member, then each ``c3`` member
+    absorbs its own batch's Fisher diagonal."""
+    x, y = zip(*(member.batch(v) for member in members))
     params = [member.params for member in members]
     params, opt_states, losses = train_visit(
         spec, params, [member.opt_state for member in members], x, y,
@@ -363,8 +341,8 @@ def _step(spec, members, v: int) -> None:
         penalty_term([member.state for member in members],
                      [member.lam for member in members], params),
     )
-    for member, member_params, opt_state, loss, (bx, by) in zip(
-        members, params, opt_states, losses, batches
+    for member, member_params, opt_state, loss, bx, by in zip(
+        members, params, opt_states, losses, x, y
     ):
         member.params, member.opt_state, member.loss = member_params, opt_state, loss
         # One Fisher pass per penalised member: on a whole batch, stacked
@@ -399,7 +377,7 @@ def _train(spec, members) -> None:
         active = [member for member in members if v < len(member.visits)]
         steps = {}
         for member in active:
-            size = member.run.plan.batch_sizes()[member.visits[v][1]]
+            size = member.run.plan.sizes[member.visits[v][1]]
             opt = member.opt_state
             key = size, member.run.cfg.minibatch_size, opt.config, opt.step_count
             steps.setdefault(key, []).append(member)

@@ -39,7 +39,6 @@ from fishershift.information import (
     Bernoulli,
     GaussianMean,
     GaussianMoments,
-    analytic_fisher,
     crlb_verify,
     discrete_kl,
     empirical_fisher_diagonal,
@@ -88,8 +87,8 @@ def test_criterion_02_empirical_fisher_matches_analytic_and_hessian():
     bern_emp = empirical_fisher_scalar(bern, 0.5, bern.simulate(rng, 0.5, 100_000))
     gauss = GaussianMean(4.0)
     gauss_emp = empirical_fisher_scalar(gauss, 0.0, gauss.simulate(rng, 0.0, 100_000))
-    bern_err = abs(bern_emp - analytic_fisher(bern, 0.5)) / 4.0
-    gauss_err = abs(gauss_emp - analytic_fisher(gauss, 0.0)) / 0.25
+    bern_err = abs(bern_emp - bern.fisher(0.5)) / 4.0
+    gauss_err = abs(gauss_emp - gauss.fisher(0.0)) / 0.25
 
     # Logistic toy: one weight per class, smooth everywhere, labels sampled
     # from the model itself.
@@ -142,7 +141,7 @@ def test_criterion_04_taylor_link():
     errors = []
     for delta in (0.1, 0.05, 0.025):
         exact = discrete_kl([0.5, 0.5], [0.5 + delta, 0.5 - delta])
-        approx = kl_second_order(0.5 + delta, 0.5, analytic_fisher(Bernoulli(), 0.5))
+        approx = kl_second_order(0.5 + delta, 0.5, Bernoulli().fisher(0.5))
         errors.append(abs(exact - approx))
     ratio1 = errors[0] / errors[1]
     ratio2 = errors[1] / errors[2]
@@ -289,11 +288,12 @@ def test_criterion_08_lambda_sweep_shape():
     spec = tabular_spec(10)
     recipe = drift_benchmark_recipe(batch_count=2)
     proto = ProtocolSpec(splits=((0.5, 2),), repetitions=5)
-    report, series = lambda_sweep(
+    report = lambda_sweep(
         recipe, (0.01, 0.04, 0.07, 0.1), proto, drift_benchmark_config(seed=0), spec,
         samples=5000,
     )
     verify_report(report)
+    series = report.lambda_series
     best_lam, best_acc = max(series, key=lambda point: point[1])
     # The same sweep is the benchmark's sweep_drift2 operation at seed 0; its
     # report bytes are pinned there too (perfbench/golden.json).

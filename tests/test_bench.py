@@ -30,8 +30,9 @@ from fishershift.bench import (
     tabular_spec,
     verify_report,
 )
+from fishershift.cli import main
 from fishershift.data import ShiftRecipe, synth_shift
-from fishershift.numerics import OptimizerConfig
+from fishershift.numerics import OptimizerConfig, parse_json
 from fishershift.penalty import PenaltyConfig
 from fishershift.trainer import TrainConfig, shift_correction
 
@@ -219,7 +220,7 @@ class TestFoldwise:
             val = ds.subset(fold_plan.batch(rot))
             others = [i for i in range(folds) if i != rot]
             train = ds.subset(np.r_[tuple(fold_plan.batch(i) for i in others)])
-            plan = FragmentationPlan(tuple(fold_plan.batch_sizes()[i] for i in others))
+            plan = FragmentationPlan(tuple(fold_plan.sizes[i] for i in others))
             run_cfg = dc_replace(cfg, seed=seed, baseline_mode="c3")
             trace = shift_correction(train, val, plan, tabular_spec(4), run_cfg)
             sums += np.asarray(trace.per_batch_accuracies()) * 100.0
@@ -230,15 +231,15 @@ class TestFoldwise:
 
 class TestLambdaSweep:
     def test_one_row_per_lambda_and_series(self):
-        report, series = lambda_sweep(
+        report = lambda_sweep(
             RECIPE, (0.0, 0.1), small_protocol(), small_config(), tabular_spec(4), samples=400
         )
         assert len(report.rows) == 2
-        assert [lam for lam, _ in series] == [0.0, 0.1]
+        assert [lam for lam, _ in report.lambda_series] == [0.0, 0.1]
         verify_report(report)
 
     def test_zero_lambda_row_equals_baseline(self):
-        report, _ = lambda_sweep(
+        report = lambda_sweep(
             RECIPE, (0.0,), small_protocol(repetitions=1), small_config(), tabular_spec(4),
             samples=400,
         )
@@ -246,13 +247,13 @@ class TestLambdaSweep:
         assert row.mean["c3"] == pytest.approx(row.mean["cv_sequential"], abs=1e-12)
 
     def test_duplicate_values_give_identical_rows(self):
-        report, series = lambda_sweep(
+        report = lambda_sweep(
             RECIPE, (0.1, 0.1), small_protocol(repetitions=1), small_config(), tabular_spec(4),
             samples=400,
         )
         a, b = report.rows
         assert a.batch_acc == b.batch_acc
-        assert series[0][1] == series[1][1]
+        assert report.lambda_series[0][1] == report.lambda_series[1][1]
 
     def test_empty_values_rejected(self):
         with pytest.raises(BenchError, match="at least one value"):
@@ -287,7 +288,7 @@ class TestLambdaSweep:
                 lambda_sweep(RECIPE, values, *args[1:], jobs=jobs)
 
     def test_default_grid_comes_from_protocol(self):
-        report, series = lambda_sweep(
+        report = lambda_sweep(
             RECIPE, None, small_protocol(repetitions=1), small_config(), tabular_spec(4),
             samples=400,
         )
@@ -328,7 +329,7 @@ class TestSharedBaselines:
     def test_one_training_per_distinct_run(self, monkeypatch, proto, splits, rotations):
         calls = self.count_trainings(monkeypatch)
         cfg = small_config()
-        report, _ = lambda_sweep(
+        report = lambda_sweep(
             RECIPE, self.LAMBDAS, proto, cfg, tabular_spec(4), samples=400
         )
         # Per split: cv_independent alone for every (repetition, fold
@@ -367,8 +368,8 @@ class TestSharedBaselines:
     def test_repetition_chunks_give_the_serial_report(self, jobs):
         args = (RECIPE, self.LAMBDAS, small_protocol(repetitions=3), small_config(),
                 tabular_spec(4))
-        serial, _ = lambda_sweep(*args, samples=400)
-        chunked, _ = lambda_sweep(*args, samples=400, jobs=jobs)
+        serial = lambda_sweep(*args, samples=400)
+        chunked = lambda_sweep(*args, samples=400, jobs=jobs)
         assert chunked.to_json() == serial.to_json()
 
     def test_chunks_cut_repetitions_in_order(self):
@@ -383,14 +384,14 @@ class TestSharedBaselines:
         ticks = itertools.count(0.0, 10.0)
         monkeypatch.setattr(bench, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
         proto = small_protocol(splits=((0.5, 2), (0.25, 4)), time_budget_s=15.0)
-        report, series = lambda_sweep(
+        report = lambda_sweep(
             RECIPE, (0.0, 0.1), proto, small_config(), tabular_spec(4), samples=400
         )
         assert [(row.batch_count, row.skipped) for row in report.rows] == [
             (2, False), (2, False), (4, True), (4, True)
         ]
-        assert [lam for lam, _ in series] == [0.0, 0.1]
-        assert series[1][1] == report.rows[1].mean["c3"]
+        assert [lam for lam, _ in report.lambda_series] == [0.0, 0.1]
+        assert report.lambda_series[1][1] == report.rows[1].mean["c3"]
         verify_report(report)
 
     def test_duplicate_splits_rejected(self):
@@ -425,7 +426,7 @@ class TestPinnedReports:
         ids=["foldwise9-jobs1", "batchwise3-jobs1", "batchwise3-jobs3", "foldwise3-jobs2"],
     )
     def test_sweep_bytes_are_pinned(self, proto, lambdas, jobs, digest):
-        report, _ = lambda_sweep(
+        report = lambda_sweep(
             self.RECIPE, lambdas, proto, self.CONFIG, tabular_spec(10), samples=600, jobs=jobs
         )
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
@@ -463,7 +464,7 @@ class TestPinnedShuffledPaths:
         ids=["foldwise3", "batchwise4"],
     )
     def test_dataset_sweep_bytes_are_pinned(self, dataset, proto, digest, jobs):
-        report, _ = lambda_sweep(dataset, (0.0, 0.1), proto, self.CONFIG, tabular_spec(10),
+        report = lambda_sweep(dataset, (0.0, 0.1), proto, self.CONFIG, tabular_spec(10),
                                  jobs=jobs)
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
@@ -488,7 +489,7 @@ class TestPinnedShuffledPaths:
 class TestEmission:
     def test_json_round_trip_is_byte_identical(self, small_report):
         text = emit_report(small_report, "json")
-        back = ExperimentReport.from_json(text)
+        back = ExperimentReport.from_json_dict(parse_json(text, "report", BenchError))
         assert emit_report(back, "json") == text
 
     def test_markdown_contains_table_columns(self, small_report):
@@ -520,6 +521,46 @@ class TestEmission:
             emit_report(small_report, "xml")
 
 
+class TestSkippedRows:
+    """A split skipped by the time budget renders as a marker, with no metrics."""
+
+    HEADING = "### Training data = 25% , batches = 4 (λ = 0.1)"
+    CSV_LINE = '"Training data = 25% , batches = 4 | lambda=0.1",skipped,true'
+
+    @pytest.fixture()
+    def report(self, monkeypatch):
+        # The clock of test_time_budget_skips_whole_splits: the second split
+        # starts at 20 s, past the 15 s budget.
+        ticks = itertools.count(0.0, 10.0)
+        monkeypatch.setattr(bench, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+        proto = small_protocol(splits=((0.5, 2), (0.25, 4)), time_budget_s=15.0)
+        report = lambda_sweep(RECIPE, (0.1,), proto, small_config(), tabular_spec(4),
+                              samples=400)
+        assert [row.skipped for row in report.rows] == [False, True]
+        return report
+
+    def test_markdown_puts_the_marker_under_the_heading(self, report):
+        lines = emit_report(report, "markdown").splitlines()
+        at = lines.index(self.HEADING)
+        assert lines[at + 1:at + 4] == ["", "_skipped: time budget exhausted_", ""]
+        assert lines[at + 4] == "### λ sweep"
+
+    def test_csv_writes_one_skipped_line_and_no_metrics(self, report):
+        lines = emit_report(report, "csv").splitlines()
+        assert [line for line in lines if "batches = 4" in line] == [self.CSV_LINE]
+        assert any(line.startswith('"Training data = 50% , batches = 2 | lambda=0.1",c3.B1,')
+                   for line in lines)
+
+    def test_report_command_renders_a_written_report(self, report, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(report.to_json())
+        assert main(["report", "--in", str(path)]) == 0
+        markdown = capsys.readouterr().out
+        assert f"{self.HEADING}\n\n_skipped: time budget exhausted_\n" in markdown
+        assert main(["report", "--in", str(path), "--format", "csv"]) == 0
+        assert f"{self.CSV_LINE}\r\n" in capsys.readouterr().out
+
+
 class TestVerifier:
     def test_detects_tampered_mean(self, small_report):
         row = small_report.rows[0]
@@ -531,7 +572,7 @@ class TestVerifier:
             verify_report(bad)
 
     def test_detects_tampered_lambda_series(self):
-        report, series = lambda_sweep(
+        report = lambda_sweep(
             RECIPE, (0.0, 0.1), small_protocol(repetitions=1), small_config(), tabular_spec(4),
             samples=400,
         )
@@ -540,6 +581,7 @@ class TestVerifier:
         payload["lambda_series"][0][1] += 5.0
         with pytest.raises(BenchError, match="lambda series"):
             verify_report(ExperimentReport.from_json_dict(payload))
+        series = report.lambda_series
         for bad in (series[:1], series[::-1], series + series[:1]):
             with pytest.raises(BenchError, match="lambda series"):
                 verify_report(replace(report, lambda_series=bad))

@@ -38,15 +38,15 @@ class TestRows:
 class TestFragment:
     def test_exact_division(self):
         plan = fragment(toy_dataset(n=100), 4)
-        assert plan.batch_sizes() == (25, 25, 25, 25)
+        assert plan.sizes == (25, 25, 25, 25)
 
     def test_remainder_goes_to_earliest_batches(self):
         plan = fragment(toy_dataset(n=10), 3)
-        assert plan.batch_sizes() == (4, 3, 3)
+        assert plan.sizes == (4, 3, 3)
 
     def test_five_percent_rows(self):
         plan = fragment(toy_dataset(n=60000, d=1), 20)
-        assert plan.batch_sizes() == tuple([3000] * 20)
+        assert plan.sizes == tuple([3000] * 20)
 
     def test_batches_tile_the_rows_in_order(self):
         plan = fragment(toy_dataset(n=53), 7)

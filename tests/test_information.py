@@ -6,7 +6,6 @@ from fishershift.information import (
     GaussianMean,
     GaussianMoments,
     InformationError,
-    analytic_fisher,
     crlb_verify,
     discrete_kl,
     empirical_fisher_diagonal,
@@ -102,19 +101,19 @@ class TestQuadratureOracle:
 
 class TestAnalyticFisher:
     def test_bernoulli_half(self):
-        assert analytic_fisher(Bernoulli(), 0.5) == pytest.approx(4.0, abs=1e-15)
+        assert Bernoulli().fisher(0.5) == pytest.approx(4.0, abs=1e-15)
 
     def test_gaussian_mean_known_variance(self):
-        assert analytic_fisher(GaussianMean(4.0), 1.3) == pytest.approx(0.25, abs=1e-15)
+        assert GaussianMean(4.0).fisher(1.3) == pytest.approx(0.25, abs=1e-15)
 
     def test_bernoulli_symmetry(self):
         fam = Bernoulli()
         for p in (0.1, 0.3, 0.45):
-            assert analytic_fisher(fam, p) == pytest.approx(analytic_fisher(fam, 1.0 - p))
+            assert fam.fisher(p) == pytest.approx(fam.fisher(1.0 - p))
 
     def test_boundary_parameter_rejected(self):
         with pytest.raises(InformationError):
-            analytic_fisher(Bernoulli(), 1.0)
+            Bernoulli().fisher(1.0)
         with pytest.raises(InformationError):
             GaussianMean(0.0)
 

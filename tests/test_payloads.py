@@ -12,7 +12,7 @@ import pytest
 
 from fishershift.bench import BenchError, ExperimentReport
 from fishershift.data import DataError, ShiftRecipe, fragment, synth_shift
-from fishershift.numerics import MlpSpec
+from fishershift.numerics import MlpSpec, read_json
 from fishershift.trainer import RunTrace, TrainConfig, TrainerError, shift_correction
 
 SPEC = MlpSpec(input_dim=3, hidden_layers=((2, "relu"),), output_classes=2)
@@ -73,7 +73,7 @@ def test_partial_payload_rejected(payload, message):
 @pytest.mark.parametrize(
     "read, error",
     [(ShiftRecipe.from_json_file, DataError),
-     (lambda path: ExperimentReport.from_json(path.read_bytes()), BenchError)],
+     (lambda path: ExperimentReport.from_json_dict(read_json(path, BenchError)), BenchError)],
     ids=["recipe", "report"],
 )
 @pytest.mark.parametrize("content", [b"garbage", b"\x80 not unicode"], ids=["garbage", "bytes"])

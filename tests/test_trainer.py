@@ -7,11 +7,12 @@ import pytest
 from fishershift.data import (
     Dataset,
     ShiftRecipe,
+    batch_moments,
     fragment,
     synth_shift,
     train_validation_split,
 )
-from fishershift.information import empirical_fisher_diagonal
+from fishershift.information import empirical_fisher_diagonal, gaussian_kl
 from fishershift.numerics import (
     MlpSpec,
     NumericsError,
@@ -29,7 +30,6 @@ from fishershift.trainer import (
     TrainConfig,
     TrainerError,
     evaluate,
-    kl_diagnostic_matrix,
     shift_correction,
     train_members,
 )
@@ -230,19 +230,25 @@ class TestDeterminismAndCausality:
 
 
 class TestKlDiagnostics:
-    def test_matrix_nonnegative_zero_diagonal(self):
+    def test_batch_kls_nonnegative_zero_to_itself(self):
         train, _, plan = drift_setup(k=4, n_per_batch=100)
-        m = kl_diagnostic_matrix(train, plan)
-        assert np.all(m >= 0.0)
-        assert np.allclose(np.diag(m), 0.0, atol=1e-9)
+        moments = [batch_moments(train, plan, i) for i in range(plan.batch_count)]
+        for i, p in enumerate(moments):
+            for j, q in enumerate(moments):
+                kl = gaussian_kl(p, q)
+                assert kl >= 0.0
+                if i == j:
+                    assert kl == pytest.approx(0.0, abs=1e-9)
 
-    def test_recorded_diagnostics_match_matrix(self):
+    def test_recorded_diagnostics_match_batch_moments(self):
         train, val, plan = drift_setup(k=3, n_per_batch=100)
-        m = kl_diagnostic_matrix(train, plan)
-        trace = shift_correction(train, val, plan, SPEC, quick_config(epochs=1))
+        trace = shift_correction(train, val, plan, SPEC, quick_config(epochs=2))
+        assert len(trace.records) == 2 * plan.batch_count
         for r in trace.records:
-            for j, value in enumerate(r.kl_to_earlier):
-                assert value == pytest.approx(m[r.batch_index, j], abs=1e-12)
+            moments = batch_moments(train, plan, r.batch_index)
+            assert r.kl_to_earlier == tuple(
+                gaussian_kl(moments, batch_moments(train, plan, j)) for j in range(r.batch_index)
+            )
 
 
 class TestIndependentBaseline:
@@ -291,7 +297,7 @@ class TestIndependentBaseline:
     def test_each_batch_trains_alone_from_the_seed(self):
         # Ragged batches (49/49/48 rows) step in two groups.
         train, val, plan = drift_setup(k=3, n_per_batch=61)
-        assert plan.batch_sizes() == (49, 49, 48)
+        assert plan.sizes == (49, 49, 48)
         cfg = quick_config(epochs=3, baseline_mode="cv_independent")
         trace = shift_correction(train, val, plan, SPEC, cfg)
         for i in range(3):
