@@ -1,9 +1,9 @@
 """The experiment harness end to end: grid run, report, and penalty sweep.
 
-Runs a reduced split grid on the stock drift scenario, renders the markdown
-report the batchwise tables use, verifies the stored statistics against the
-raw accuracy columns, and sweeps the penalty grid for the strength-response
-series.
+Runs a reduced split grid on the stock drift scenario at one penalty
+strength (a one-point sweep), renders the markdown report the batchwise
+tables use, verifies the stored statistics against the raw accuracy columns,
+and sweeps the penalty grid for the strength-response series.
 """
 
 from fishershift import (
@@ -13,7 +13,6 @@ from fishershift import (
     emit_report,
     emit_series_csv,
     lambda_sweep,
-    run_protocol,
     tabular_spec,
     verify_report,
 )
@@ -24,7 +23,7 @@ spec = tabular_spec(recipe.features)
 
 print("== Split grid: 50%x2 and 20%x5 cells, 2 repetitions ==")
 proto = ProtocolSpec(splits=((0.50, 2), (0.20, 5)), repetitions=2)
-report = run_protocol(recipe, proto, cfg, spec, samples=2000)
+report = lambda_sweep(recipe, (cfg.penalty.lam,), proto, cfg, spec, samples=2000)
 verify_report(report)
 print(f"(derived statistics re-verified against raw columns; "
       f"wall time {report.wall_time_s:.1f}s)")

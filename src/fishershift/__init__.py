@@ -28,7 +28,6 @@ from .bench import (
     emit_report,
     emit_series_csv,
     lambda_sweep,
-    run_protocol,
     tabular_spec,
     verify_report,
 )
@@ -60,7 +59,6 @@ from .information import (
     gaussian_kl,
     gaussian_kl_quadrature,
     hessian_diagonal_fd_oracle,
-    kl_quadrature_oracle,
     kl_second_order,
     negative_hessian_diagonal,
 )

@@ -1,7 +1,8 @@
 """Experiment harness: split grids, repetition averaging, and report emission.
 
 A protocol names a list of batchwise splits (training fraction, batch count)
-or a foldwise fold count, and a sweep adds a grid of penalty strengths. The
+or a foldwise fold count, and ``lambda_sweep`` runs it at a grid of penalty
+strengths; a single strength is a one-point grid. The
 unit of work is the split. Each repetition, seeded by hashing the split
 configuration, materialises its data, validation set and plan once
 (``batchwise_split``, as ``train`` does; foldwise, once per fold rotation)
@@ -18,7 +19,8 @@ row reads its three columns from it, averaged over repetitions.
 A time budget is checked before each split, and an exhausted budget skips
 the whole split: all of its lambda rows. Reports store the raw per-batch
 accuracy columns next to every derived statistic so a verifier can recompute
-them; printed deltas are never trusted anywhere.
+them; printed deltas are never trusted anywhere. The harness leaves
+``delta2`` null: it has no reference run to compare against.
 
 Accuracies inside reports are percentages, matching the tabular layout the
 markdown emitter renders.
@@ -340,7 +342,7 @@ def _splits(proto: ProtocolSpec) -> tuple[tuple, ...]:
     return ((None, proto.folds - 1),)
 
 
-def _row(label, fraction, k, lam, config_hash, seeds=(), outcomes=None, reference=None):
+def _row(label, fraction, k, lam, config_hash, seeds=(), outcomes=None):
     """The report row of one (split, lambda). ``outcomes`` is a (repetitions,
     3, K + 1) table whose columns follow ``RUN_MODES``; without it the row is
     skipped."""
@@ -362,7 +364,7 @@ def _row(label, fraction, k, lam, config_hash, seeds=(), outcomes=None, referenc
         mean=mean,
         variance=variance,
         delta1=delta_value(mean["c3"], mean["cv_independent"]) if mean else None,
-        delta2=delta_value(mean["c3"], reference) if reference is not None else None,
+        delta2=None,
         delta3=delta_value(mean["c3"], mean["cv_sequential"]) if mean else None,
         skipped=outcomes is None,
     )
@@ -374,18 +376,29 @@ def _row_label(proto: ProtocolSpec, fraction, k: int) -> str:
     return f"Foldwise k = {proto.folds}"
 
 
-def _execute(source, proto, train_cfg, spec, lambdas, samples, reference, jobs):
-    """One report row per (split, lambda), split-major.
-
-    The unit of work is the split: the baselines of each repetition run
-    once and are shared by every lambda row of the split. The time budget
-    is checked before each split, and an exhausted budget skips all of its
-    rows.
-    """
+def lambda_sweep(
+    source,
+    values,
+    proto: ProtocolSpec,
+    train_cfg: TrainConfig,
+    spec: MlpSpec,
+    samples: int = 5000,
+    jobs: int = 1,
+) -> ExperimentReport:
+    """One report row per (split, lambda), split-major, and the (lambda,
+    mean c3 accuracy) series in ``lambda_series``; ``values`` defaults to
+    ``LAMBDA_GRID``. ``source`` is a fixed dataset or a drift recipe, drawn
+    again for each repetition with its derived seed, so the repetitions
+    average over data draws as well as initialisations."""
+    values = tuple(LAMBDA_GRID if values is None else values)
+    if not values:
+        raise BenchError("lambda sweep needs at least one value")
+    if not all(math.isfinite(v) and v >= 0 for v in values):
+        raise BenchError("lambda values must be finite and >= 0")
     if jobs < 1:
         raise BenchError(f"jobs must be >= 1, got {jobs}")
     started = time.monotonic()
-    distinct = tuple(dict.fromkeys(lambdas))
+    distinct = tuple(dict.fromkeys(values))
     rows = []
     pool = None
     if jobs > 1:
@@ -402,7 +415,7 @@ def _execute(source, proto, train_cfg, spec, lambdas, samples, reference, jobs):
                 proto.time_budget_s is not None
                 and time.monotonic() - started > proto.time_budget_s
             ):
-                rows.extend(_row(label, fraction, k, lam, config_hash) for lam in lambdas)
+                rows.extend(_row(label, fraction, k, lam, config_hash) for lam in values)
                 continue
             seeds = [derive_seed(train_cfg.seed, key, r) for r in range(proto.repetitions)]
             tasks = [
@@ -414,61 +427,17 @@ def _execute(source, proto, train_cfg, spec, lambdas, samples, reference, jobs):
             # A row's columns, in RUN_MODES order: c3 at lam, cv_sequential, cv_independent.
             rows.extend(
                 _row(label, fraction, k, lam, config_hash, seeds,
-                     table[:, [2 + distinct.index(lam), 1, 0]], reference)
-                for lam in lambdas
+                     table[:, [2 + distinct.index(lam), 1, 0]])
+                for lam in values
             )
     finally:
         if pool is not None:
             pool.shutdown()
-    return rows, time.monotonic() - started
-
-
-def run_protocol(
-    source,
-    proto: ProtocolSpec,
-    train_cfg: TrainConfig,
-    spec: MlpSpec,
-    samples: int = 5000,
-    reference_accuracy: float | None = None,
-    jobs: int = 1,
-) -> ExperimentReport:
-    """Run every grid cell at the train config's penalty strength and report.
-
-    ``source`` is either a fixed dataset or a drift recipe; recipes are
-    re-materialised per repetition with the derived seed, so the repetitions
-    average over data draws as well as initialisations.
-    """
-    rows, elapsed = _execute(
-        source, proto, train_cfg, spec, [train_cfg.penalty.lam], samples,
-        reference_accuracy, jobs,
-    )
-    return ExperimentReport(
-        base_seed=train_cfg.seed, rows=tuple(rows), wall_time_s=elapsed
-    )
-
-
-def lambda_sweep(
-    source,
-    values,
-    proto: ProtocolSpec,
-    train_cfg: TrainConfig,
-    spec: MlpSpec,
-    samples: int = 5000,
-    jobs: int = 1,
-) -> ExperimentReport:
-    """One report row per (split, lambda), and the (lambda, mean c3
-    accuracy) series in ``lambda_series``."""
-    values = tuple(LAMBDA_GRID if values is None else values)
-    if not values:
-        raise BenchError("lambda sweep needs at least one value")
-    if not all(math.isfinite(v) and v >= 0 for v in values):
-        raise BenchError("lambda values must be finite and >= 0")
-    rows, elapsed = _execute(source, proto, train_cfg, spec, values, samples, None, jobs)
     return ExperimentReport(
         base_seed=train_cfg.seed,
         rows=tuple(rows),
         lambda_series=_lambda_series(rows, values),
-        wall_time_s=elapsed,
+        wall_time_s=time.monotonic() - started,
     )
 
 
@@ -501,16 +470,20 @@ def _report_grid(rows) -> list[float]:
     return grid
 
 
-def _close(a: float, b: float, tol: float) -> bool:
-    return abs(a - b) <= tol  # False for NaN
+# Absolute tolerance of every recomputed report column, in percent.
+VERIFY_TOL = 1e-9
 
 
-def verify_report(report: ExperimentReport, tol: float = 1e-9) -> None:
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= VERIFY_TOL  # False for NaN
+
+
+def verify_report(report: ExperimentReport) -> None:
     """Recompute every derived column from the stored raw accuracies.
 
     Raises on the first discrepancy; printed deltas are never trusted. A
-    report that carries a lambda series (``lambda_sweep``) must carry exactly
-    the series its rows give.
+    report that carries a lambda series must carry exactly the series its
+    rows give; a report read from a file may carry none.
     """
     for row in report.rows:
         if row.skipped:
@@ -523,19 +496,19 @@ def verify_report(report: ExperimentReport, tol: float = 1e-9) -> None:
         for mode, accs in row.batch_acc.items():
             if len(accs) != row.batch_count:
                 raise BenchError(f"{row.label}: {mode} holds {len(accs)} batch accuracies")
-            if not _close(float(np.mean(accs)), row.mean[mode], tol):
+            if not _close(float(np.mean(accs)), row.mean[mode]):
                 raise BenchError(f"{row.label}: stored mean for {mode} is inconsistent")
-            if not _close(population_variance(accs), row.variance[mode], tol):
+            if not _close(population_variance(accs), row.variance[mode]):
                 raise BenchError(f"{row.label}: stored variance for {mode} is inconsistent")
         for name, other in (("delta1", "cv_independent"), ("delta3", "cv_sequential")):
             stored = getattr(row, name)
-            if stored is None or not _close(stored, row.mean["c3"] - row.mean[other], tol):
+            if stored is None or not _close(stored, row.mean["c3"] - row.mean[other]):
                 raise BenchError(f"{row.label}: stored {name} is inconsistent")
     if report.lambda_series:
         expected = _lambda_series(report.rows, _report_grid(report.rows))
         stored = report.lambda_series
         if len(stored) != len(expected) or not all(
-            lam == want_lam and _close(acc, want_acc, tol)
+            lam == want_lam and _close(acc, want_acc)
             for (lam, acc), (want_lam, want_acc) in zip(stored, expected)
         ):
             raise BenchError("stored lambda series is inconsistent with the rows")

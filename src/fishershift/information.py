@@ -1,6 +1,6 @@
 """Information-theoretic quantities: Fisher information, KL divergence, CRLB.
 
-Covers the closed-form Gaussian KL, a quadrature oracle for cross-checking it,
+Covers the closed-form Gaussian KL, a Gaussian quadrature for cross-checking it,
 analytic and empirical Fisher information for scalar families and for MLP
 classifiers, a finite-difference Hessian oracle, a Monte-Carlo check of the
 Cramer-Rao lower bound, and the second-order expansion that ties KL divergence
@@ -60,13 +60,15 @@ def gaussian_kl(p: GaussianMoments, q: GaussianMoments) -> float:
     return float(0.5 * term.sum())
 
 
-def _simpson_refine(
-    integrand,
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-    max_intervals: int = 1 << 17,
-) -> float:
+# Quadrature: two successive Simpson estimates must agree to QUAD_TOL before
+# the interval count reaches QUAD_MAX_INTERVALS; the support spans
+# QUAD_WIDTH P-sigmas on either side of P's mean.
+QUAD_TOL = 1e-10
+QUAD_MAX_INTERVALS = 1 << 17
+QUAD_WIDTH = 12.0
+
+
+def _simpson_refine(integrand, lo: float, hi: float) -> float:
     """Composite Simpson with interval doubling until two estimates agree."""
     if not hi > lo:
         raise InformationError("empty integration support")
@@ -82,40 +84,18 @@ def _simpson_refine(
 
     n = 256
     previous = integral(n)
-    while n < max_intervals:
+    while n < QUAD_MAX_INTERVALS:
         n *= 2
         current = integral(n)
-        if abs(current - previous) < tol:
+        if abs(current - previous) < QUAD_TOL:
             return current
         previous = current
     raise InformationError("quadrature did not converge")
 
 
-def kl_quadrature_oracle(
-    p_density,
-    q_density,
-    support: tuple[float, float],
-    tol: float = 1e-10,
-    max_intervals: int = 1 << 17,
-) -> float:
-    """Numeric integral of p*log(p/q) over ``support`` by composite Simpson.
-
-    The interval count doubles until two successive estimates agree to ``tol``.
-    Serves only as an independent cross-check of closed-form KL values.
-    """
-
-    def integrand(xs):
-        p = np.asarray(p_density(xs), dtype=np.float64)
-        q = np.asarray(q_density(xs), dtype=np.float64)
-        if np.any(p <= 0.0) or np.any(q <= 0.0):
-            raise InformationError("densities must be positive on the support")
-        return p * np.log(p / q)
-
-    return _simpson_refine(integrand, float(support[0]), float(support[1]), tol, max_intervals)
-
-
-def gaussian_kl_quadrature(p: GaussianMoments, q: GaussianMoments, width: float = 12.0) -> float:
-    """Quadrature KL for Gaussians on a symmetric support of ``width`` P-sigmas.
+def gaussian_kl_quadrature(p: GaussianMoments, q: GaussianMoments) -> float:
+    """Quadrature KL for Gaussians on a symmetric support of ``QUAD_WIDTH``
+    P-sigmas, an independent cross-check of ``gaussian_kl``.
 
     The integrand is assembled from log densities: at the support edges a far
     or narrow Q underflows float64 even though it is mathematically positive.
@@ -131,7 +111,7 @@ def gaussian_kl_quadrature(p: GaussianMoments, q: GaussianMoments, width: float 
             log_q = -((xs - mq) ** 2) / (2.0 * vq) - 0.5 * np.log(2.0 * np.pi * vq)
             return np.exp(log_p) * (log_p - log_q)
 
-        total += _simpson_refine(integrand, mu_p - width * sd, mu_p + width * sd)
+        total += _simpson_refine(integrand, mu_p - QUAD_WIDTH * sd, mu_p + QUAD_WIDTH * sd)
     return total
 
 
@@ -293,25 +273,27 @@ def empirical_fisher_full(spec: MlpSpec, params: ParameterVector, x, labels) -> 
     return out / n
 
 
-def negative_hessian_diagonal(fn, theta, step: float = 1e-4) -> np.ndarray:
-    """-d^2 fn / d theta_i^2 by second-order central differences."""
+FD_STEP = 1e-4
+
+
+def negative_hessian_diagonal(fn, theta) -> np.ndarray:
+    """-d^2 fn / d theta_i^2 by second-order central differences of step
+    ``FD_STEP``."""
     theta = np.asarray(theta, dtype=np.float64)
     centre = fn(theta)
     out = np.zeros_like(theta)
     for i in range(theta.size):
         up = theta.copy()
         dn = theta.copy()
-        up[i] += step
-        dn[i] -= step
-        out[i] = -(fn(up) - 2.0 * centre + fn(dn)) / step**2
+        up[i] += FD_STEP
+        dn[i] -= FD_STEP
+        out[i] = -(fn(up) - 2.0 * centre + fn(dn)) / FD_STEP**2
     if not np.all(np.isfinite(out)):
         raise InformationError("non-finite finite-difference Hessian")
     return out
 
 
-def hessian_diagonal_fd_oracle(
-    spec: MlpSpec, params: ParameterVector, x, labels, step: float = 1e-4
-) -> np.ndarray:
+def hessian_diagonal_fd_oracle(spec: MlpSpec, params: ParameterVector, x, labels) -> np.ndarray:
     """Negative Hessian diagonal of the mean log-likelihood of a classifier,
     the negated cross-entropy loss."""
 
@@ -319,7 +301,7 @@ def hessian_diagonal_fd_oracle(
         loss, _ = cross_entropy_loss(forward(spec, params.with_values(theta), x), labels)
         return -loss
 
-    return negative_hessian_diagonal(ll, params.values, step=step)
+    return negative_hessian_diagonal(ll, params.values)
 
 
 @dataclass(frozen=True)

@@ -136,13 +136,6 @@ class ParameterVector:
     def size(self) -> int:
         return self.values.size
 
-    def view(self, name: str) -> np.ndarray:
-        """Reshaped view of one named block."""
-        for s in self.layout:
-            if s.name == name:
-                return self.values[s.start:s.stop].reshape(s.shape)
-        raise KeyError(name)
-
     def with_values(self, values: np.ndarray) -> "ParameterVector":
         return ParameterVector(values, self.layout)
 

@@ -22,7 +22,6 @@ from fishershift.bench import (
     drift_benchmark_config,
     drift_benchmark_recipe,
     lambda_sweep,
-    run_protocol,
     tabular_spec,
     verify_report,
 )
@@ -317,7 +316,7 @@ def test_criterion_09_report_integrity():
     recipe = drift_benchmark_recipe(batch_count=2)
     cfg = replace(drift_benchmark_config(seed=0), epochs=2)
     proto = ProtocolSpec(splits=((0.5, 2),), repetitions=2)
-    report = run_protocol(recipe, proto, cfg, tabular_spec(10), samples=400)
+    report = lambda_sweep(recipe, (cfg.penalty.lam,), proto, cfg, tabular_spec(10), samples=400)
     verify_report(report)  # raises on any stored-column inconsistency
 
     ok = arithmetic_ok

@@ -26,7 +26,6 @@ from fishershift.bench import (
     format_delta,
     lambda_sweep,
     population_variance,
-    run_protocol,
     tabular_spec,
     verify_report,
 )
@@ -57,7 +56,9 @@ def small_protocol(**kw):
 
 @pytest.fixture(scope="module")
 def small_report():
-    return run_protocol(RECIPE, small_protocol(), small_config(), tabular_spec(4), samples=400)
+    return lambda_sweep(
+        RECIPE, (0.1,), small_protocol(), small_config(), tabular_spec(4), samples=400
+    )
 
 
 class TestProtocolSpec:
@@ -120,6 +121,8 @@ class TestDeltas:
 
 
 class TestRunProtocol:
+    """A protocol run at one penalty strength: a one-point lambda grid."""
+
     def test_report_structure_and_consistency(self, small_report):
         assert len(small_report.rows) == 1
         row = small_report.rows[0]
@@ -129,39 +132,38 @@ class TestRunProtocol:
         verify_report(small_report)
 
     def test_zero_lambda_collapses_delta3(self):
-        report = run_protocol(
-            RECIPE, small_protocol(repetitions=1), small_config(lam=0.0),
-            tabular_spec(4), samples=400,
+        report = lambda_sweep(
+            RECIPE, (0.0,), small_protocol(repetitions=1), small_config(), tabular_spec(4),
+            samples=400,
         )
         row = report.rows[0]
         assert row.batch_acc["c3"] == row.batch_acc["cv_sequential"]
         assert row.delta3 == 0.0
 
     def test_reproducible_bit_for_bit(self):
-        a = run_protocol(RECIPE, small_protocol(), small_config(), tabular_spec(4), samples=400)
-        b = run_protocol(RECIPE, small_protocol(), small_config(), tabular_spec(4), samples=400)
+        args = RECIPE, (0.1,), small_protocol(), small_config(), tabular_spec(4)
+        a = lambda_sweep(*args, samples=400)
+        b = lambda_sweep(*args, samples=400)
         assert a.to_json() == b.to_json()
 
     def test_parallel_jobs_match_serial(self, small_report):
-        parallel = run_protocol(
-            RECIPE, small_protocol(), small_config(), tabular_spec(4), samples=400, jobs=2
+        parallel = lambda_sweep(
+            RECIPE, (0.1,), small_protocol(), small_config(), tabular_spec(4), samples=400,
+            jobs=2,
         )
         assert parallel.to_json() == small_report.to_json()
-
-    def test_reference_accuracy_fills_delta2(self):
-        report = run_protocol(
-            RECIPE, small_protocol(repetitions=1), small_config(), tabular_spec(4),
-            samples=400, reference_accuracy=90.0,
-        )
-        row = report.rows[0]
-        assert row.delta2 == pytest.approx(row.mean["c3"] - 90.0, abs=1e-12)
 
     def test_delta2_absent_without_reference(self, small_report):
         assert small_report.rows[0].delta2 is None
 
+    def test_one_point_series_is_the_row_mean(self, small_report):
+        row = small_report.rows[0]
+        assert small_report.lambda_series == ((0.1, row.mean["c3"]),)
+
     def test_time_budget_marks_skipped_cells(self):
         proto = small_protocol(splits=((0.5, 2), (0.25, 4)), time_budget_s=0.0)
-        report = run_protocol(RECIPE, proto, small_config(), tabular_spec(4), samples=400)
+        report = lambda_sweep(RECIPE, (0.1,), proto, small_config(), tabular_spec(4),
+                              samples=400)
         assert all(row.skipped for row in report.rows)
         verify_report(report)  # skipped rows are ignored, not errors
 
@@ -171,18 +173,19 @@ class TestRunProtocol:
     )
     def test_too_few_samples_per_batch_rejected(self, proto):
         with pytest.raises(BenchError, match="samples 3 gives fewer than 2 rows"):
-            run_protocol(RECIPE, proto, small_config(), tabular_spec(4), samples=3)
+            lambda_sweep(RECIPE, (0.1,), proto, small_config(), tabular_spec(4), samples=3)
 
     def test_infeasible_split_raises(self):
         proto = small_protocol(splits=((0.05, 20),))
         with pytest.raises(Exception):
-            run_protocol(RECIPE, proto, small_config(), tabular_spec(4), samples=20)
+            lambda_sweep(RECIPE, (0.1,), proto, small_config(), tabular_spec(4), samples=20)
 
 
 class TestFoldwise:
     def test_five_rotations_cover_dataset_once(self):
         proto = ProtocolSpec(mode="foldwise", folds=5, repetitions=1)
-        report = run_protocol(RECIPE, proto, small_config(), tabular_spec(4), samples=500)
+        report = lambda_sweep(RECIPE, (0.1,), proto, small_config(), tabular_spec(4),
+                              samples=500)
         row = report.rows[0]
         assert row.batch_count == 4  # k - 1 causal batches per rotation
         assert len(row.batch_acc["c3"]) == 4
@@ -192,7 +195,8 @@ class TestFoldwise:
         # Folds are produced by the standard fragmentation, whose partition
         # property is tested there; here check the foldwise label and shape.
         proto = ProtocolSpec(mode="foldwise", folds=3, repetitions=1)
-        report = run_protocol(RECIPE, proto, small_config(), tabular_spec(4), samples=300)
+        report = lambda_sweep(RECIPE, (0.1,), proto, small_config(), tabular_spec(4),
+                              samples=300)
         assert report.rows[0].label == "Foldwise k = 3"
 
     def test_foldwise_row_matches_manual_rotation_loop(self):
@@ -207,7 +211,7 @@ class TestFoldwise:
         folds = 3
         cfg = small_config()
         proto = ProtocolSpec(mode="foldwise", folds=folds, repetitions=1)
-        report = run_protocol(RECIPE, proto, cfg, tabular_spec(4), samples=300)
+        report = lambda_sweep(RECIPE, (0.1,), proto, cfg, tabular_spec(4), samples=300)
         row = report.rows[0]
 
         seed = bench.derive_seed(cfg.seed, f"foldwise:None:{folds - 1}", 0)
@@ -263,29 +267,22 @@ class TestLambdaSweep:
         with pytest.raises(BenchError, match=">= 0"):
             lambda_sweep(RECIPE, (-0.1,), small_protocol(), small_config(), tabular_spec(4))
 
-    @pytest.mark.parametrize("entry, jobs, values, message", [
-        ("run_protocol", 0, None, "jobs must be >= 1"),
-        ("lambda_sweep", 0, (0.1,), "jobs must be >= 1"),
-        ("run_protocol", -1, None, "jobs must be >= 1"),
-        ("lambda_sweep", -1, (0.1,), "jobs must be >= 1"),
+    @pytest.mark.parametrize("jobs, values, message", [
+        (0, (0.1,), "jobs must be >= 1"),
+        (-1, (0.1,), "jobs must be >= 1"),
         # inf and NaN both pass a `v < 0` test; caught only by PenaltyConfig,
         # they would stop the sweep after cv_independent had trained.
-        ("lambda_sweep", 1, (0.1, math.inf), "lambda values must be finite and >= 0"),
-        ("lambda_sweep", 1, (math.nan,), "lambda values must be finite and >= 0"),
-    ], ids=["0-run_protocol", "0-lambda_sweep", "-1-run_protocol", "-1-lambda_sweep",
-            "inf-lambda_sweep", "nan-lambda_sweep"])
-    def test_jobs_below_one_rejected_before_any_work(self, monkeypatch, entry, jobs, values,
-                                                     message):
+        (1, (0.1, math.inf), "lambda values must be finite and >= 0"),
+        (1, (math.nan,), "lambda values must be finite and >= 0"),
+    ], ids=["0-lambda_sweep", "-1-lambda_sweep", "inf-lambda_sweep", "nan-lambda_sweep"])
+    def test_jobs_below_one_rejected_before_any_work(self, monkeypatch, jobs, values, message):
         def no_work(*args):
             raise AssertionError("work started")
 
         monkeypatch.setattr(bench, "_run_reps", no_work)
-        args = RECIPE, small_protocol(), small_config(), tabular_spec(4)
         with pytest.raises(BenchError, match=message):
-            if entry == "run_protocol":
-                run_protocol(*args, jobs=jobs)
-            else:
-                lambda_sweep(RECIPE, values, *args[1:], jobs=jobs)
+            lambda_sweep(RECIPE, values, small_protocol(), small_config(), tabular_spec(4),
+                         jobs=jobs)
 
     def test_default_grid_comes_from_protocol(self):
         report = lambda_sweep(
@@ -344,10 +341,7 @@ class TestSharedBaselines:
         monkeypatch.undo()
 
         for lam in self.LAMBDAS:
-            single = run_protocol(
-                RECIPE, proto, replace(cfg, penalty=PenaltyConfig(lam=lam)), tabular_spec(4),
-                samples=400,
-            )
+            single = lambda_sweep(RECIPE, (lam,), proto, cfg, tabular_spec(4), samples=400)
             swept = [row for row in report.rows if row.lam == lam]
             assert len(swept) == len(single.rows)
             for a, b in zip(swept, single.rows):
@@ -432,12 +426,12 @@ class TestPinnedReports:
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
     def test_protocol_bytes_are_pinned(self):
-        report = run_protocol(
-            self.RECIPE, ProtocolSpec(splits=((0.5, 2),), repetitions=9), self.CONFIG,
-            tabular_spec(10), samples=600, reference_accuracy=70.0,
+        report = lambda_sweep(
+            self.RECIPE, (0.1,), ProtocolSpec(splits=((0.5, 2),), repetitions=9), self.CONFIG,
+            tabular_spec(10), samples=600,
         )
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
-            "78d2e2bab1a4b8fe5808800fb0e13312a9b40232b9ab77c665d7e67c950540c0"
+            "b1e5696201e77313de80e7716919941da416216adaa927d948950ef7664ead2c"
         )
 
 
@@ -515,6 +509,27 @@ class TestEmission:
         lines = text.strip().splitlines()
         assert lines[0] == "lambda,mean_accuracy"
         assert len(lines) == 3
+
+    def test_null_delta2_leaves_its_cells_empty(self, small_report):
+        lines = emit_report(small_report, "csv").splitlines()
+        assert not any(",delta2," in line for line in lines)
+        c3 = next(line for line in emit_report(small_report, "markdown").splitlines()
+                  if line.startswith("| c3 |"))
+        delta1, delta2, delta3 = c3.split(" | ")[-3:]
+        assert delta2 == ""
+        assert delta1 == format_delta(small_report.rows[0].delta1)
+
+    def test_delta2_read_from_a_file_is_rendered(self, small_report):
+        payload = small_report.to_json_dict()
+        payload["rows"][0]["delta2"] = -2.5
+        report = ExperimentReport.from_json_dict(payload)
+        assert report.rows[0].delta2 == -2.5
+        assert '"Training data = 50% , batches = 2 | lambda=0.1",delta2,-2.5' in (
+            emit_report(report, "csv").splitlines()
+        )
+        c3 = next(line for line in emit_report(report, "markdown").splitlines()
+                  if line.startswith("| c3 |"))
+        assert c3.split(" | ")[-2] == "↓ 2.5"
 
     def test_unknown_format_rejected(self, small_report):
         with pytest.raises(BenchError, match="format"):
@@ -603,12 +618,45 @@ class TestVerifier:
         with pytest.raises(BenchError, match=message):
             verify_report(ExperimentReport(base_seed=0, rows=(tampered,)))
 
+    def test_tolerance_is_absolute(self, small_report):
+        row = small_report.rows[0]
+
+        def shifted(by):
+            mean = {**row.mean, "c3": row.mean["c3"] + by}
+            return ExperimentReport(
+                base_seed=0, rows=(ReportRow.from_json_dict({**row.to_json_dict(), "mean": mean}),)
+            )
+
+        verify_report(shifted(bench.VERIFY_TOL / 2))
+        with pytest.raises(BenchError, match="stored mean for c3"):
+            verify_report(shifted(2 * bench.VERIFY_TOL))
+
     def test_detects_tampered_delta(self, small_report):
         row = small_report.rows[0]
         tampered = ReportRow.from_json_dict({**row.to_json_dict(), "delta3": 123.0})
         bad = ExperimentReport(base_seed=0, rows=(tampered,))
         with pytest.raises(BenchError, match="delta3"):
             verify_report(bad)
+
+
+class TestEmptySeries:
+    """A report whose ``lambda_series`` is empty, as a report read from a file
+    may be, still parses, verifies and renders, without a series section."""
+
+    def test_report_without_series_parses_verifies_and_renders(self, small_report, tmp_path,
+                                                                capsys):
+        assert "### λ sweep" in emit_report(small_report, "markdown")
+        payload = small_report.to_json_dict()
+        payload["lambda_series"] = []
+        report = ExperimentReport.from_json_dict(payload)
+        assert report.lambda_series == ()
+        verify_report(report)
+        path = tmp_path / "report.json"
+        path.write_text(report.to_json())
+        assert main(["report", "--in", str(path)]) == 0
+        markdown = capsys.readouterr().out
+        assert "### Training data = 50% , batches = 2 (λ = 0.1)" in markdown
+        assert "### λ sweep" not in markdown
 
 
 class TestReportParsing:

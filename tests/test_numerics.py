@@ -50,10 +50,9 @@ class TestForward:
         # Independent oracle: scalar-arithmetic evaluation of the same weights.
         spec = MlpSpec(input_dim=2, hidden_layers=((4, "relu"),), output_classes=2)
         params = init_params(spec, seed=123)
-        w1 = params.view("layer0.weight").tolist()
-        b1 = params.view("layer0.bias").tolist()
-        w2 = params.view("layer1.weight").tolist()
-        b2 = params.view("layer1.bias").tolist()
+        w1, b1, w2, b2 = (
+            params.values[s.start:s.stop].reshape(s.shape).tolist() for s in params.layout
+        )
         x = np.array([[0.3, -1.2], [2.0, 0.5], [-0.7, -0.1]])
         expected = np.array([python_mlp_forward(row, w1, b1, w2, b2) for row in x.tolist()])
         logits = forward(spec, params, x)
