@@ -25,8 +25,7 @@ print("== Split grid: 50%x2 and 20%x5 cells, 2 repetitions ==")
 proto = ProtocolSpec(splits=((0.50, 2), (0.20, 5)), repetitions=2)
 report = lambda_sweep(recipe, (cfg.penalty.lam,), proto, cfg, spec, samples=2000)
 verify_report(report)
-print(f"(derived statistics re-verified against raw columns; "
-      f"wall time {report.wall_time_s:.1f}s)")
+print("(derived statistics re-verified against raw columns)")
 print()
 print(emit_report(report, "markdown"))
 

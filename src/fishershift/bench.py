@@ -20,7 +20,8 @@ A time budget is checked before each split, and an exhausted budget skips
 the whole split: all of its lambda rows. Reports store the raw per-batch
 accuracy columns next to every derived statistic so a verifier can recompute
 them; printed deltas are never trusted anywhere. The harness leaves
-``delta2`` null: it has no reference run to compare against.
+``delta2`` null: it has no reference run to compare against, and the
+verifier rejects a report that carries one.
 
 Accuracies inside reports are percentages, matching the tabular layout the
 markdown emitter renders.
@@ -150,13 +151,12 @@ class ReportRow:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Full harness output; ``wall_time_s`` stays out of the serialised form
-    so emitted reports are reproducible bit for bit."""
+    """Full harness output. It holds no wall-clock timing, so emitted reports
+    are reproducible bit for bit."""
 
     base_seed: int
     rows: tuple[ReportRow, ...]
     lambda_series: tuple[tuple[float, float], ...] = ()
-    wall_time_s: float | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -437,7 +437,6 @@ def lambda_sweep(
         base_seed=train_cfg.seed,
         rows=tuple(rows),
         lambda_series=_lambda_series(rows, values),
-        wall_time_s=time.monotonic() - started,
     )
 
 
@@ -483,9 +482,15 @@ def verify_report(report: ExperimentReport) -> None:
 
     Raises on the first discrepancy; printed deltas are never trusted. A
     report that carries a lambda series must carry exactly the series its
-    rows give; a report read from a file may carry none.
+    rows give; a report read from a file may carry none. ``delta2`` must be
+    null, because no reference accuracy is stored to recompute it from.
     """
     for row in report.rows:
+        if row.delta2 is not None:
+            raise BenchError(
+                f"{row.label} | lambda={row.lam}: delta2 must be null: "
+                "no reference accuracy is stored to check it against"
+            )
         if row.skipped:
             continue
         if row.batch_count < 1:

@@ -443,6 +443,22 @@ class TestReport:
         err = capsys.readouterr().err
         assert err == "error: stored lambda series is inconsistent with the rows\n"
 
+    def test_report_with_a_delta2_exits_1_with_one_line(self, recipe_path, tmp_path, capsys):
+        # No reference accuracy is stored anywhere, so a delta2 cannot be
+        # recomputed; rendering it would print a number nothing checked.
+        def edit(payload):
+            payload["rows"][0]["delta2"] = 5.0
+
+        bad = self.tampered(recipe_path, tmp_path, edit)
+        capsys.readouterr()
+        assert run_cli("report", "--in", bad) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: Training data = 50% , batches = 2 | lambda=0.1: delta2 must be null: "
+            "no reference accuracy is stored to check it against\n"
+        )
+
     @pytest.mark.parametrize(
         "edit, message",
         [

@@ -13,8 +13,10 @@ from fishershift.numerics import (
     loss_and_gradient,
     optimizer_step,
     parameter_layout,
+    score_square_mean,
     zero_params,
 )
+from fishershift.numerics import _backprop, _layer_plan, _views
 from oracles import (
     central_difference_gradient,
     max_relative_error,
@@ -164,6 +166,53 @@ class TestBackward:
         loss2, grad2 = loss_and_gradient(spec, params, x2, labels2)
         assert loss2 == pytest.approx(loss1, abs=1e-12)
         assert np.allclose(grad1.values, grad2.values, atol=1e-12)
+
+    def test_bias_row_sums_match_the_ufunc_reduction_bitwise(self):
+        # _backprop sums each bias term over rows into a strided (M, 1,
+        # width) view of an (M, P) matrix. Over stacks of 1-40 members, ragged
+        # row counts up to 2001, widths 1-64 and magnitudes 1e+-8, for the
+        # gradient and the squared (Fisher pass) form, it must give the bits
+        # of numpy's own reduction; this fails if a numpy upgrade changes the
+        # order in which einsum adds the rows.
+        rng = np.random.default_rng(2026)
+        shapes = [(1, 1, 1), (1, 2001, 1), (1, 2000, 4), (25, 32, 4), (40, 1, 64), (35, 17, 2)]
+        while len(shapes) < 200:
+            shape = tuple(int(rng.integers(1, top + 1)) for top in (40, 2001, 64))
+            if np.prod(shape) <= 200_000:
+                shapes.append(shape)
+        for members, rows, width in shapes:
+            # Layer 0 of a one-input spec: its bias is ``width`` wide.
+            layout, layers = _layer_plan(MlpSpec(input_dim=1, hidden_layers=((width, "relu"),)))
+            bias = layers[0].bias
+            scale = 10.0 ** rng.uniform(-8.0, 8.0, size=(members, rows, 1))
+            d = rng.normal(size=(members, rows, width)) * scale
+            h = rng.normal(size=(members, rows, 1))
+            for squared in (False, True):
+                out = np.full((members, layout[-1].stop), np.nan)
+                _backprop(layers[:1], None, [h, None], [None], d, _views(layers, out), squared)
+                want = np.add.reduce(d**2 if squared else d, axis=-2)
+                assert np.array_equal(out[:, bias], want), (members, rows, width, squared)
+
+    @pytest.mark.parametrize("rows", [1, 77, 2001])
+    @pytest.mark.parametrize("classes", [2, 4, 10])
+    def test_output_bias_terms_are_the_ufunc_row_sums(self, rows, classes):
+        # The output delta rebuilt from the public softmax; its row sums are
+        # the output bias's gradient and, squared, its Fisher pass term.
+        spec = MlpSpec(input_dim=3, hidden_layers=((5, "relu"),), output_classes=classes)
+        params = init_params(spec, seed=4)
+        x, labels = random_batch(spec, 8, n=rows)
+        _, prob = cross_entropy_loss(forward(spec, params, x), labels)
+        bias = next(s for s in parameter_layout(spec) if s.name == "layer1.bias")
+        delta = prob.copy()
+        delta[np.arange(rows), labels] -= 1.0
+        _, grad = loss_and_gradient(spec, params, x, labels)
+        want = np.add.reduce(delta / rows, axis=0)
+        assert np.array_equal(grad.values[bias.start:bias.stop], want)
+        score = -prob
+        score[np.arange(rows), labels] += 1.0
+        want = np.add.reduce(score**2, axis=0) / rows
+        fisher = score_square_mean(spec, params, x, labels)
+        assert np.array_equal(fisher[bias.start:bias.stop], want)
 
 
 class TestOptimizers:

@@ -25,6 +25,9 @@ from fishershift.penalty import (
 TABULAR = MlpSpec(input_dim=4, hidden_layers=((4, "relu"),), output_classes=2)
 DEEP = MlpSpec(input_dim=4, hidden_layers=((5, "relu"), (3, "identity")), output_classes=3)
 NO_BIAS = MlpSpec(input_dim=4, hidden_layers=((4, "relu"),), output_classes=2, bias=False)
+# A width-1 hidden layer, whose bias rows numpy sums pairwise, and 10 classes,
+# which the class reductions sum as ufuncs.
+NARROW = MlpSpec(input_dim=4, hidden_layers=((1, "relu"),), output_classes=10)
 
 
 def batch(spec, n, seed):
@@ -68,7 +71,9 @@ def member_penalties(spec, penalty, members):
     return sets[members]
 
 
-@pytest.mark.parametrize("spec", [TABULAR, DEEP, NO_BIAS], ids=["tabular", "deep", "no_bias"])
+@pytest.mark.parametrize(
+    "spec", [TABULAR, DEEP, NO_BIAS, NARROW], ids=["tabular", "deep", "no_bias", "narrow"]
+)
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
 @pytest.mark.parametrize("penalty", ["empty", "one", "sum"])
 @pytest.mark.parametrize("rows", [96, 77], ids=["even", "ragged"])
@@ -159,7 +164,9 @@ def member_batches(spec, rows, blocks):
     return [batch(spec, rows, seed=20 + d) for d in range(blocks)]
 
 
-@pytest.mark.parametrize("spec", [TABULAR, DEEP, NO_BIAS], ids=["tabular", "deep", "no_bias"])
+@pytest.mark.parametrize(
+    "spec", [TABULAR, DEEP, NO_BIAS, NARROW], ids=["tabular", "deep", "no_bias", "narrow"]
+)
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
 @pytest.mark.parametrize("penalty", ["empty", "one", "sum"])
 @pytest.mark.parametrize("rows", [96, 77], ids=["even", "ragged"])
