@@ -258,11 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fishershift",
         description="Sequential-batch training with an accumulated Fisher-information penalty.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = DefaultsHelpFormatter
 
-    p_train = sub.add_parser("train", formatter_class=fmt,
+    p_train = sub.add_parser("train", formatter_class=fmt, allow_abbrev=False,
                              help="run one training pass over ordered batches")
     add_source_flags(p_train)
     add_train_flags(p_train)
@@ -275,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", required=True, help="run trace JSON path")
     p_train.set_defaults(run=cmd_train, parser=p_train)
 
-    p_sweep = sub.add_parser("sweep", formatter_class=fmt,
+    p_sweep = sub.add_parser("sweep", formatter_class=fmt, allow_abbrev=False,
                              help="benchmark a grid of penalty strengths")
     add_source_flags(p_sweep)
     add_train_flags(p_sweep)
@@ -296,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="lambda/accuracy CSV path (default: <out>.series.csv)")
     p_sweep.set_defaults(run=cmd_sweep, parser=p_sweep)
 
-    p_synth = sub.add_parser("synth", formatter_class=fmt,
+    p_synth = sub.add_parser("synth", formatter_class=fmt, allow_abbrev=False,
                              help="materialise a drift recipe to CSV")
     p_synth.add_argument("--recipe", required=True, help="recipe JSON path")
     p_synth.add_argument("--samples-per-batch", type=AT_LEAST_2, default=500,
@@ -305,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", required=True, help="CSV output path")
     p_synth.set_defaults(run=cmd_synth)
 
-    p_report = sub.add_parser("report", formatter_class=fmt,
+    p_report = sub.add_parser("report", formatter_class=fmt, allow_abbrev=False,
                               help="render a report as json, csv, or markdown")
     p_report.add_argument("--in", dest="infile", required=True, help="report JSON path")
     p_report.add_argument("--format", choices=("json", "csv", "markdown"), default="markdown")

@@ -166,6 +166,30 @@ def test_importing_the_cli_loads_no_process_pool():
     assert done.stdout == "[]\n"
 
 
+def test_train_and_a_one_process_sweep_start_no_thread(recipe_path, tmp_path):
+    # Tabular validation sets are evaluated inline, so these runs never load
+    # concurrent.futures or start the evaluation thread. A fresh interpreter:
+    # this one may hold the module already.
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    train = ["train", "--synth", recipe_path, "--epochs", "1", "--samples-per-batch", "60",
+             "--out", str(tmp_path / "run.json")]
+    sweep = ["sweep", "--synth", recipe_path, "--values", "0.1", "--batches", "2",
+             "--repetitions", "2", "--epochs", "1", "--samples", "120",
+             "--out", str(tmp_path / "report.json")]
+    script = (
+        "import sys, threading\n"
+        "started = []\n"
+        "start = threading.Thread.start\n"
+        "threading.Thread.start = lambda self: (started.append(self.name), start(self))\n"
+        "from fishershift.cli import main\n"
+        f"codes = [main({train!r}), main({sweep!r})]\n"
+        "print(codes, started, 'concurrent.futures' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "[0, 0] [] False"
+
+
 def test_every_train_config_field_is_set_by_a_flag():
     # A config field that no flag sets is an option only tests can reach.
     args = build_parser().parse_args([
@@ -238,6 +262,38 @@ def test_bad_argument_exits_2_before_any_file_is_read(command, flags, named, tmp
     assert err.startswith(f"usage: fishershift {command} ")
     assert f"\nfishershift {command}: error: " in err
     assert not list(tmp_path.iterdir())
+
+
+# A prefix of a flag is not that flag: train's --samples would otherwise set
+# --samples-per-batch, while sweep's --samples counts all rows.
+ABBREVIATED = {
+    "train-samples": ("train", ["--samples", "100"]),
+    "train-lam": ("train", ["--lam", "0.1"]),
+    "sweep-samp": ("sweep", ["--samp", "100"]),
+    "sweep-lam": ("sweep", ["--lam", "0.1"]),
+    "synth-samples": ("synth", ["--samples", "7"]),
+    "report-form": ("report", ["--form", "csv"]),
+}
+
+
+@pytest.mark.parametrize("command, flags", ABBREVIATED.values(), ids=ABBREVIATED.keys())
+def test_a_prefix_of_a_flag_exits_2_before_any_file_is_read(command, flags, tmp_path, capsys):
+    source = {"train": "--synth", "sweep": "--synth", "synth": "--recipe", "report": "--in"}
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, source[command], str(tmp_path / "missing.json"), *flags,
+                "--out", str(tmp_path / "out.json"))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fishershift ")
+    assert f"error: unrecognized arguments: {' '.join(flags)}\n" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_prefix_of_help_is_not_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--he")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: fishershift ")
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -1,9 +1,11 @@
 import json
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fishershift import trainer
 from fishershift.data import (
     Dataset,
     ShiftRecipe,
@@ -453,6 +455,143 @@ class TestNonFiniteTraining:
         cfg = quick_config(optimizer=OptimizerConfig(kind="sgd", learning_rate=1e300))
         with np.errstate(all="ignore"), pytest.raises(NumericsError, match="non-finite"):
             shift_correction(train, val, plan, SPEC, cfg)
+
+
+WIDE_SPEC = MlpSpec(input_dim=784, hidden_layers=((8, "relu"),), output_classes=10)
+
+
+def wide_setup(seed=0, rows=800, k=3):
+    """784 features, 10 classes and 200 validation rows: a pass too small for
+    the evaluation thread unless the path is forced."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, 784))
+    ds = Dataset(x, np.argmax(x @ rng.normal(size=(784, 10)), axis=1), 10)
+    train, val, _, _ = train_validation_split(ds, 0.25, seed=seed)
+    return train, val, fragment(train, k)
+
+
+class TestEvaluationThread:
+    """Visit v's validation passes run inline or, for large validation sets
+    on a host with a second CPU, on a thread while visit v+1 trains; both
+    paths give the same bytes, hook calls and errors."""
+
+    @pytest.fixture()
+    def force(self, monkeypatch):
+        """``force(threaded)`` picks the path by the CPU count alone, and
+        returns the list that gets, per validation pass, whether it ran on
+        the main thread and numpy's error state there."""
+        passes = []
+        evaluate_stack = trainer._evaluate_stack
+
+        def spy(*args):
+            passes.append((threading.current_thread() is threading.main_thread(), np.geterr()))
+            return evaluate_stack(*args)
+
+        def force_path(threaded):
+            monkeypatch.setattr(trainer, "_THREAD_EVAL_SIZE", 0)
+            monkeypatch.setattr(trainer, "_usable_cpus", lambda: 2 if threaded else 1)
+            passes.clear()
+            return passes
+
+        monkeypatch.setattr(trainer, "_evaluate_stack", spy)
+        return force_path
+
+    @pytest.mark.parametrize("mode", ["c3", "cv_sequential", "cv_independent"])
+    def test_both_paths_give_the_same_trace_and_hook_calls(self, force, mode):
+        train, val, plan = wide_setup()
+        cfg = quick_config(baseline_mode=mode, penalty=PenaltyConfig(lam=0.1))
+        threads = threading.active_count()
+        traces, calls = {}, {False: [], True: []}
+        for threaded in (False, True):
+            passes = force(threaded)
+            traces[threaded] = shift_correction(
+                train, val, plan, WIDE_SPEC, cfg,
+                batch_hook=lambda epoch, i, params, seen=calls[threaded]: seen.append(
+                    (epoch, i, params.values.tobytes())),
+            )
+            assert threading.active_count() == threads
+            assert passes and [on_main for on_main, _ in passes] == [not threaded] * len(passes)
+        assert traces[True].to_json() == traces[False].to_json()
+        assert_same_run(traces[True], traces[False])
+        assert calls[True] == calls[False]
+
+    def test_a_mixed_stack_gives_the_same_traces_on_both_paths(self, force):
+        # Two validation sets (one pass each per visit), the three modes, and
+        # a run that drops out after fewer visits.
+        a, b = wide_setup(seed=0), wide_setup(seed=1, rows=600, k=2)
+        base = quick_config(epochs=3)
+        runs = [Run(*a, replace(base, penalty=PenaltyConfig(lam=0.1))),
+                Run(*a, replace(base, baseline_mode="cv_sequential")),
+                Run(*b, replace(base, baseline_mode="cv_independent", seed=2)),
+                Run(*b, replace(base, epochs=1, seed=3))]
+        traces = {}
+        for threaded in (False, True):
+            passes = force(threaded)
+            traces[threaded] = train_members(runs, WIDE_SPEC)
+            assert {on_main for on_main, _ in passes} == {not threaded}
+        for got, want in zip(traces[True], traces[False], strict=True):
+            assert got.to_json() == want.to_json()
+            assert_same_run(got, want)
+
+    def test_the_thread_evaluates_under_the_callers_numpy_error_state(self, force):
+        train, val, plan = wide_setup()
+        for threaded in (False, True):
+            passes = force(threaded)
+            with np.errstate(over="raise", invalid="ignore"):
+                shift_correction(train, val, plan, WIDE_SPEC, quick_config(epochs=1))
+            assert [(err["over"], err["invalid"]) for _, err in passes] == [
+                ("raise", "ignore")] * plan.batch_count
+
+    def test_a_diverging_run_raises_the_same_first_error_on_both_paths(self, force):
+        # Visit 0 evaluates; visit 1's training diverges.
+        train, val, plan = wide_setup()
+        cfg = quick_config(optimizer=OptimizerConfig(kind="sgd", learning_rate=1e3))
+        threads = threading.active_count()
+        errors = []
+        for threaded in (False, True):
+            passes = force(threaded)
+            with np.errstate(all="ignore"), pytest.raises(NumericsError) as exc:
+                shift_correction(train, val, plan, WIDE_SPEC, cfg)
+            assert threading.active_count() == threads
+            assert len(passes) == 1
+            errors.append(str(exc.value))
+        assert errors == ["non-finite cross-entropy loss"] * 2
+
+    def test_a_visits_evaluation_error_comes_before_the_next_visits_training_error(
+            self, force, monkeypatch):
+        train, val, plan = wide_setup()
+        step, evaluate_stack = trainer._step, trainer._evaluate_stack
+
+        def failing_step(spec, members, v):
+            if v == 1:
+                raise NumericsError("training visit 1")
+            step(spec, members, v)
+
+        def failing_evaluation(*args):
+            evaluate_stack(*args)
+            raise TrainerError("evaluating visit 0")
+
+        monkeypatch.setattr(trainer, "_step", failing_step)
+        threads = threading.active_count()
+        for threaded in (False, True):
+            force(threaded)
+            monkeypatch.setattr(trainer, "_evaluate_stack", failing_evaluation)
+            with pytest.raises(TrainerError, match="evaluating visit 0"):
+                shift_correction(train, val, plan, WIDE_SPEC, quick_config())
+            assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("threshold, cpus, on_thread", [
+        (0, 2, True), (0, 1, False), (1, 2, False),
+    ], ids=["at-the-size", "one-cpu", "below-the-size"])
+    def test_the_path_follows_the_size_and_the_cpu_count(self, force, monkeypatch,
+                                                         threshold, cpus, on_thread):
+        train, val, plan = wide_setup()
+        passes = force(True)
+        # The threshold sits at (or one value above) this run's pass size.
+        monkeypatch.setattr(trainer, "_THREAD_EVAL_SIZE", val.n * 784 + threshold)
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: cpus)
+        shift_correction(train, val, plan, WIDE_SPEC, quick_config(epochs=1))
+        assert [on_main for on_main, _ in passes] == [not on_thread] * plan.batch_count
 
 
 class TestTraceSerialization:
