@@ -76,7 +76,15 @@ class Dataset:
         return features, labels
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.features[indices], self.labels[indices], self.class_count)
+        """The rows at ``indices``, which must select at least one. Their
+        values and labels were checked with this dataset, so only the shape
+        is checked again."""
+        features, labels = self.features[indices], self.labels[indices]
+        if features.ndim != 2 or features.shape[0] < 1:
+            raise DataError("a subset must select at least one row")
+        subset = object.__new__(Dataset)  # skips __post_init__'s checks
+        subset.__dict__.update(features=features, labels=labels, class_count=self.class_count)
+        return subset
 
 
 @dataclass(frozen=True)
@@ -375,7 +383,11 @@ def batch_moments(dataset: Dataset, plan: FragmentationPlan, batch_index: int) -
     if x.shape[0] < 2:
         raise DataError(f"batch {batch_index} has fewer than 2 samples")
     mean = x.mean(axis=0)
-    variance = np.maximum(x.var(axis=0, ddof=1), VARIANCE_FLOOR)
+    # np.var(ddof=1) without computing the mean again: the same operations,
+    # in the same order, so the same bits.
+    d = x - mean
+    d *= d
+    variance = np.maximum(np.add.reduce(d, axis=0) / (x.shape[0] - 1), VARIANCE_FLOOR)
     return GaussianMoments(mean, variance)
 
 

@@ -27,7 +27,10 @@ the ufunc is the faster of the two.
 
 The module also holds the serialisation helpers that the modules above it
 share: JSON field checks, the parameter-layout JSON codec, the canonical
-JSON text and the atomic file write.
+JSON text and the atomic file write. The canonical text is byte for byte
+``json.dumps(value, sort_keys=True, indent=2)`` plus a newline; a small
+recursive writer produces it, joining a list of finite floats, such as a
+trace's parameters, in one pass.
 """
 
 from __future__ import annotations
@@ -258,15 +261,22 @@ def layout_from_json(items: list, where: str, error) -> tuple[LayerSlice, ...]:
 
 
 def params_from_json(payload: dict, key: str, where: str, error) -> ParameterVector:
-    """Parameters from ``payload[key]``, a number list, laid out by
-    ``payload["layout"]``, a ``layout_to_json`` list; raises ``error`` if
+    """Parameters from ``payload[key]``, a list of finite numbers, laid out
+    by ``payload["layout"]``, a ``layout_to_json`` list; raises ``error`` if
     either is missing or malformed."""
     layout = layout_from_json(json_field(payload, "layout", list, where, error), where, error)
     values = json_field(payload, key, tuple[float, ...], where, error)
     size = layout[-1].stop if layout else 0
+    wanted = f"{where}: {key!r} must hold {size} finite numbers"
     if len(values) != size:
-        raise error(f"{where}: {key!r} must hold {size} numbers")
-    return ParameterVector(np.asarray(values, dtype=np.float64), layout)
+        raise error(wanted)
+    try:
+        values = np.asarray(values, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        raise error(wanted) from None
+    if not np.isfinite(values).all():
+        raise error(wanted)
+    return ParameterVector(values, layout)
 
 
 def parse_json(text, where: str, error):
@@ -278,9 +288,31 @@ def parse_json(text, where: str, error):
         raise error(f"{where}: not valid JSON ({exc})") from None
 
 
+def _json_text(value, pad: str) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for a value that
+    starts a line indented by ``pad``."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        items = [f"{json.dumps(k)}: {_json_text(value[k], inner)}" for k in sorted(value)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)) and value:
+        # json writes a finite float as float.__repr__; a parameter list is
+        # thousands of them, joined here in one pass.
+        if all(type(x) is float and math.isfinite(x) for x in value):
+            items = map(float.__repr__, value)
+        else:
+            items = [_json_text(x, inner) for x in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    # Scalars, empty containers and objects with non-string keys; json
+    # escapes every newline inside a string, so each newline here is layout.
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+
+
 def canonical_json(value) -> str:
-    """The text of every JSON file the package writes: equal values, equal bytes."""
-    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+    """The text of every JSON file the package writes: equal values, equal
+    bytes. It is exactly ``json.dumps(value, sort_keys=True, indent=2) +
+    "\\n"``, written by ``_json_text``."""
+    return _json_text(value, "") + "\n"
 
 
 def read_json(path, error):

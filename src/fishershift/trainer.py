@@ -37,6 +37,7 @@ lambda rows.
 from __future__ import annotations
 
 import contextvars
+import math
 import os
 from dataclasses import asdict, dataclass, field
 from typing import ClassVar, NamedTuple
@@ -117,8 +118,12 @@ class BatchRecord:
             raise TrainerError("a record needs epoch >= 1 and one KL per earlier batch")
         if not 0.0 <= self.validation_accuracy <= 1.0:
             raise TrainerError("validation accuracy must lie in [0, 1]")
-        if any(k < 0.0 for k in self.kl_to_earlier):
-            raise TrainerError("KL diagnostics must be nonnegative")
+        # The kernel checks the cross-entropy and the gradient, not the loss
+        # with the penalty added, so an overflowing penalty value stops here.
+        if not -math.inf < self.mean_loss < math.inf:
+            raise TrainerError(f"mean loss must be finite, got {self.mean_loss}")
+        if not all(0.0 <= k < math.inf for k in self.kl_to_earlier):
+            raise TrainerError("KL diagnostics must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

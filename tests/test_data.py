@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fishershift.data import (
+    VARIANCE_FLOOR,
     DataError,
     Dataset,
     FragmentationPlan,
@@ -304,6 +305,56 @@ class TestBatchMoments:
         plan = fragment(ds, 3)
         with pytest.raises(DataError, match="fewer than 2"):
             batch_moments(ds, plan, 0)
+
+    @pytest.mark.parametrize("rows, width", [(2, 3), (33, 5), (9, 4), (480, 784)],
+                             ids=["two-rows", "odd-rows", "constant-column", "784-wide"])
+    def test_bits_equal_numpy_mean_and_var(self, rows, width):
+        # Offset and scaled, so the deviations lose low bits; a variance
+        # taken about another mean, or summed in another order, differs.
+        rng = np.random.default_rng(rows)
+        x = 1e3 + 7.0 * rng.normal(size=(2 * rows, width))
+        x[:, 1] = 0.3  # a constant column: the floor applies
+        ds = Dataset(x, np.zeros(2 * rows, dtype=int), 1)
+        plan = fragment(ds, 2)
+        for i in range(2):
+            batch = x[plan.batch(i)]
+            moments = batch_moments(ds, plan, i)
+            expected = np.maximum(batch.var(axis=0, ddof=1), VARIANCE_FLOOR)
+            assert moments.mean.tobytes() == batch.mean(axis=0).tobytes()
+            assert moments.variance.tobytes() == expected.tobytes()
+            assert moments.variance[1] == VARIANCE_FLOOR
+
+
+class TestSubset:
+    @pytest.mark.parametrize(
+        "empty",
+        [np.array([], dtype=np.int64), [], slice(3, 3), np.zeros(10, dtype=bool)],
+        ids=["index-array", "list", "slice", "mask"],
+    )
+    def test_an_empty_selection_is_rejected(self, empty):
+        with pytest.raises(DataError):
+            toy_dataset().subset(empty)
+
+    def test_a_selection_that_is_not_rows_is_rejected(self):
+        with pytest.raises(DataError):
+            toy_dataset().subset(np.int64(2))
+
+    @pytest.mark.parametrize(
+        "indices",
+        [np.array([7, 0, 3, 3]), [4], slice(2, 9), np.arange(10) % 3 == 0],
+        ids=["index-array", "list", "slice", "mask"],
+    )
+    def test_equals_the_checked_constructor(self, indices):
+        rng = np.random.default_rng(1)
+        # Integer features and int32 labels: the constructor converts both.
+        ds = Dataset(rng.integers(-5, 5, size=(10, 3)),
+                     rng.integers(0, 4, size=10).astype(np.int32), 4)
+        got = ds.subset(indices)
+        checked = Dataset(ds.features[indices], ds.labels[indices], ds.class_count)
+        assert got.features.dtype == np.float64 and got.labels.dtype == np.int64
+        for a, b in ((got.features, checked.features), (got.labels, checked.labels)):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+        assert got.class_count == checked.class_count == 4
 
 
 class TestValidationSplit:

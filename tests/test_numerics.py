@@ -1,11 +1,26 @@
+import hashlib
+import json
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from fishershift.bench import (
+    ProtocolSpec,
+    drift_benchmark_config,
+    drift_benchmark_recipe,
+    lambda_sweep,
+    tabular_spec,
+)
+from fishershift.cli import main
+from fishershift.data import Dataset, fragment
 from fishershift.numerics import (
     MlpSpec,
     NumericsError,
     OptimizerConfig,
     ParameterVector,
+    canonical_json,
     cross_entropy_loss,
     forward,
     init_optimizer_state,
@@ -17,6 +32,7 @@ from fishershift.numerics import (
     zero_params,
 )
 from fishershift.numerics import _backprop, _layer_plan, _views
+from fishershift.trainer import RUN_MODES, TrainConfig, shift_correction
 from oracles import (
     central_difference_gradient,
     max_relative_error,
@@ -308,3 +324,67 @@ class TestLayout:
         spec = MlpSpec(input_dim=2, hidden_layers=(), output_classes=2)
         with pytest.raises(NumericsError, match="layout expects"):
             ParameterVector(np.zeros(3), parameter_layout(spec))
+
+
+class TestCanonicalJson:
+    """``canonical_json`` writes exactly ``json.dumps(value, sort_keys=True,
+    indent=2)`` plus a newline, on every payload the package writes and on
+    the values where a float's text or the layout could differ."""
+
+    @staticmethod
+    def assert_json_dumps_bytes(value):
+        assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("input_dim", [784, 10], ids=["wide", "tabular"])
+    def test_seed_0_traces(self, input_dim):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(300, input_dim))
+        data = Dataset(x, np.argmax(x @ rng.normal(size=(input_dim, 3)), axis=1), 3)
+        spec = MlpSpec(input_dim=input_dim, hidden_layers=((8, "relu"),), output_classes=3)
+        for mode in RUN_MODES:
+            cfg = TrainConfig(epochs=2, seed=0, baseline_mode=mode)
+            trace = shift_correction(data, data, fragment(data, 3), spec, cfg)
+            payload = trace.to_json_dict()
+            self.assert_json_dumps_bytes(payload)
+            assert trace.to_json() == canonical_json(payload)
+
+    def test_pinned_report(self):
+        report = lambda_sweep(
+            drift_benchmark_recipe(3), (0.1,), ProtocolSpec(splits=((0.5, 2),), repetitions=9),
+            replace(drift_benchmark_config(0.1, seed=3), epochs=2), tabular_spec(10),
+            samples=600,
+        )
+        text = report.to_json()
+        # TestPinnedReports pins the same report's bytes.
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "b1e5696201e77313de80e7716919941da416216adaa927d948950ef7664ead2c"
+        )
+        self.assert_json_dumps_bytes(report.to_json_dict())
+        self.assert_json_dumps_bytes(json.loads(text))
+
+    def test_synth_meta(self, tmp_path):
+        recipe = tmp_path / "drift.json"
+        recipe.write_text(json.dumps({"kind": "mean_drift", "batch_count": 3, "features": 4,
+                                      "delta": 0.5, "separation": 0.1 + 0.2}))
+        out = tmp_path / "d.csv"
+        assert main(["synth", "--recipe", str(recipe), "--samples-per-batch", "7",
+                     "--out", str(out)]) == 0
+        text = (tmp_path / "d.csv.meta.json").read_text()
+        self.assert_json_dumps_bytes(json.loads(text))
+        assert canonical_json(json.loads(text)) == text
+
+    def test_edge_values(self):
+        payload = {
+            "zero": -0.0, "subnormal": 5e-324, "large": 1e16, "int53": 2**53,
+            "sum": 0.1 + 0.2, "floats": [-0.0, 5e-324, 1e16, 0.1 + 0.2, 1.7976931348623157e308],
+            "nan in floats": [1.0, math.nan, 2.0], "inf in floats": [math.inf, -math.inf],
+            "mixed": [1, 2.0, 3], "with bool": [1.0, True], "with None": [1.0, None],
+            "numpy floats": [np.float64(0.1), np.float64(-0.0)], "numpy": np.float64(0.1),
+            "empty": {}, "empty list": [], "nested": [[1.0, 2.5], [[]], [{}], [[[0.5]]]],
+            "tuple": (1.0, 2.5), "records": [{"b": 1, "a": [0.25]}, {}],
+            "int keys": {2: [0.5], 1: {"x": [1.0]}}, "B": "Z", "é ☃": "non-ASCII \n\"é\" ☃",
+            "nan": math.nan,
+        }
+        self.assert_json_dumps_bytes(payload)
+        for value in (payload, *payload.values(), [payload], [[payload]], (), 1.5, "x", None):
+            self.assert_json_dumps_bytes(value)

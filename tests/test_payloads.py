@@ -7,6 +7,8 @@ which; booleans are not numbers), or shorten any list whose length is fixed.
 A mutation that parses, or fails another way, fails the test.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,31 @@ def test_every_mutation_raises_the_module_error(seed):
 )
 def test_partial_payload_rejected(payload, message):
     with pytest.raises(TrainerError, match=message):
+        RunTrace.from_json_dict(payload)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "field, message",
+    [(lambda p: (p["records"][1], "mean_loss"), "mean loss must be finite"),
+     (lambda p: (p["records"][1]["kl_to_earlier"], 0), "KL diagnostics must be finite"),
+     (lambda p: (p["final_params"]["values"], 5), "'values' must hold 14 finite numbers")],
+    ids=["mean_loss", "kl", "params"],
+)
+def test_non_finite_numbers_are_rejected(field, message, value):
+    # json.loads reads NaN, Infinity and -Infinity into these floats.
+    payload = trace_payload(0)
+    container, key = field(payload)
+    container[key] = value
+    with pytest.raises(TrainerError, match=message) as exc:
+        RunTrace.from_json_dict(payload)
+    assert "\n" not in str(exc.value)
+
+
+def test_a_parameter_beyond_the_float_range_is_rejected():
+    payload = trace_payload(0)
+    payload["final_params"]["values"][0] = 10**400  # json.loads reads any integer
+    with pytest.raises(TrainerError, match="must hold 14 finite numbers"):
         RunTrace.from_json_dict(payload)
 
 

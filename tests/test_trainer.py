@@ -456,6 +456,17 @@ class TestNonFiniteTraining:
         with np.errstate(all="ignore"), pytest.raises(NumericsError, match="non-finite"):
             shift_correction(train, val, plan, SPEC, cfg)
 
+    def test_an_overflowing_penalty_value_is_not_recorded(self):
+        # The penalty gradient stays finite while its value overflows, so the
+        # kernel's checks pass and only the record sees the infinite loss.
+        spec = MlpSpec(input_dim=3, hidden_layers=((2, "relu"),), output_classes=2)
+        recipe = ShiftRecipe(kind="mean_drift", batch_count=2, features=3, delta=0.5)
+        data, _ = synth_shift(recipe, 40, seed=0)
+        cfg = quick_config(optimizer=OptimizerConfig(kind="adam", learning_rate=3.0),
+                           penalty=PenaltyConfig(lam=1.7e308))
+        with np.errstate(all="ignore"), pytest.raises(TrainerError, match="mean loss"):
+            shift_correction(data, data, fragment(data, 2), spec, cfg)
+
 
 WIDE_SPEC = MlpSpec(input_dim=784, hidden_layers=((8, "relu"),), output_classes=10)
 
