@@ -10,18 +10,17 @@ and trains ``cv_independent`` once (``trainer.shift_correction``). Then
 ``cv_sequential`` and the penalised trainer at every distinct lambda, for
 every repetition, train once each, together as one stack
 (``trainer.train_members``): the baselines do not depend on lambda, and
-any runs may share a stack. ``jobs`` (at least 1) cuts the
-repetitions into chunks, one stack per chunk, in parallel processes; the
+any runs may share a stack. ``jobs`` (at least 1) cuts each split's
+repetitions into chunks, one stack per chunk; every (split, chunk) task of
+the sweep goes through one ``map``, in at most ``jobs`` processes, and the
 report bytes do not depend on it. The split's outcomes are one table, per
 repetition: ``cv_independent``, ``cv_sequential``, then ``c3`` at each
 distinct lambda, each K batch accuracies and the final accuracy. Every lambda
-row reads its three columns from it, averaged over repetitions.
-A time budget is checked before each split, and an exhausted budget skips
-the whole split: all of its lambda rows. Reports store the raw per-batch
-accuracy columns next to every derived statistic so a verifier can recompute
-them; printed deltas are never trusted anywhere. The harness leaves
-``delta2`` null: it has no reference run to compare against, and the
-verifier rejects a report that carries one.
+row reads its three columns from it, averaged over repetitions. Reports
+store the raw per-batch accuracy columns next to every derived statistic so
+a verifier can recompute them; printed deltas are never trusted anywhere.
+The harness leaves ``delta2`` null: it has no reference run to compare
+against, and the verifier rejects a report that carries one.
 
 Accuracies inside reports are percentages, matching the tabular layout the
 markdown emitter renders.
@@ -34,7 +33,6 @@ import hashlib
 import io
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -82,7 +80,6 @@ class ProtocolSpec:
     repetitions: int = 5
     validation_fraction: float = 0.2
     shuffle: bool | None = None
-    time_budget_s: float | None = None
 
     def __post_init__(self):
         if self.mode not in ("batchwise", "foldwise"):
@@ -131,10 +128,10 @@ class ReportRow:
     delta1: float | None
     delta2: float | None
     delta3: float | None
-    skipped: bool = False
 
     def to_json_dict(self) -> dict:
-        payload = asdict(self)
+        # "skipped" is a key of the report format, which no sweep sets.
+        payload = {**asdict(self), "skipped": False}
         payload["lambda"] = payload.pop("lam")
         payload["seeds"] = list(self.seeds)
         payload["batch_acc"] = {m: list(v) for m, v in self.batch_acc.items()}
@@ -142,7 +139,12 @@ class ReportRow:
 
     @classmethod
     def from_json_dict(cls, payload: dict, where: str = "report row") -> "ReportRow":
-        """Parse one row; a missing key or a wrongly typed value is a BenchError."""
+        """Parse one row; a missing key, a wrongly typed value or a skipped
+        row is a BenchError."""
+        payload = dict(json_object(payload, where, BenchError))
+        if "skipped" in payload and json_field(payload, "skipped", bool, where, BenchError):
+            raise BenchError(f"{where}: a skipped row holds no outcomes to report")
+        payload.pop("skipped", None)
         fields = fields_from_json(cls, payload, where, BenchError, keys={"lam": "lambda"})
         fields["seeds"] = tuple(fields["seeds"])
         fields["batch_acc"] = {m: tuple(v) for m, v in fields["batch_acc"].items()}
@@ -219,7 +221,11 @@ def _config_hash(cell_key: str, train_cfg: TrainConfig, spec: MlpSpec) -> str:
             ],
             "penalty_mode": train_cfg.penalty.mode,
             "accumulation": train_cfg.penalty.accumulation,
-            "spec": [spec.input_dim, list(spec.layer_dims), spec.bias],
+            "spec": [spec.input_dim, list(spec.layer_dims), spec.bias] + (
+                # Listed only off the default, so every relu hash keeps its bytes.
+                [[a for _, a in spec.hidden_layers]]
+                if any(a != "relu" for _, a in spec.hidden_layers) else []
+            ),
         },
         sort_keys=True,
     )
@@ -285,8 +291,8 @@ def _rep_splits(source, proto: ProtocolSpec, k: int, seed: int, samples: int) ->
 
 
 def _run_reps(args) -> np.ndarray:
-    """The outcome table of the repetitions ``seeds`` of one split; shaped
-    for executor.map.
+    """The outcome table of the repetitions ``seeds`` of one split; one
+    argument tuple, so that one ``map`` call runs every task of a sweep.
 
     Every repetition materialises its data, validation set and plan once
     per split (one, or one per foldwise rotation) and trains
@@ -342,11 +348,10 @@ def _splits(proto: ProtocolSpec) -> tuple[tuple, ...]:
     return ((None, proto.folds - 1),)
 
 
-def _row(label, fraction, k, lam, config_hash, seeds=(), outcomes=None):
+def _row(label, fraction, k, lam, config_hash, seeds, outcomes):
     """The report row of one (split, lambda). ``outcomes`` is a (repetitions,
-    3, K + 1) table whose columns follow ``RUN_MODES``; without it the row is
-    skipped."""
-    tables = {} if outcomes is None else dict(zip(RUN_MODES, outcomes.transpose(1, 0, 2)))
+    3, K + 1) table whose columns follow ``RUN_MODES``."""
+    tables = dict(zip(RUN_MODES, outcomes.transpose(1, 0, 2)))
     # Rounding: batch accuracies reduce along axis 0, the final one is a 1-D mean.
     batch_acc = {mode: tuple(t[:, :k].mean(axis=0).tolist()) for mode, t in tables.items()}
     final_acc = {mode: float(np.mean(t[:, k])) for mode, t in tables.items()}
@@ -363,10 +368,9 @@ def _row(label, fraction, k, lam, config_hash, seeds=(), outcomes=None):
         final_acc=final_acc,
         mean=mean,
         variance=variance,
-        delta1=delta_value(mean["c3"], mean["cv_independent"]) if mean else None,
+        delta1=delta_value(mean["c3"], mean["cv_independent"]),
         delta2=None,
-        delta3=delta_value(mean["c3"], mean["cv_sequential"]) if mean else None,
-        skipped=outcomes is None,
+        delta3=delta_value(mean["c3"], mean["cv_sequential"]),
     )
 
 
@@ -397,42 +401,35 @@ def lambda_sweep(
         raise BenchError("lambda values must be finite and >= 0")
     if jobs < 1:
         raise BenchError(f"jobs must be >= 1, got {jobs}")
-    started = time.monotonic()
     distinct = tuple(dict.fromkeys(values))
-    rows = []
-    pool = None
-    if jobs > 1:
+    splits, tasks = [], []
+    for fraction, k in _splits(proto):
+        key = _cell_key(proto.mode, fraction, k)
+        seeds = [derive_seed(train_cfg.seed, key, r) for r in range(proto.repetitions)]
+        chunks = _chunks(seeds, jobs)
+        splits.append((fraction, k, key, seeds, len(chunks)))
+        tasks.extend((source, proto, train_cfg, spec, k, distinct, chunk, samples)
+                     for chunk in chunks)
+    workers = min(jobs, len(tasks))
+    if workers == 1:
+        tables = list(map(_run_reps, tasks))
+    else:
         # Imported here, so a run in one process never loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=jobs)
-    try:
-        for fraction, k in _splits(proto):
-            key = _cell_key(proto.mode, fraction, k)
-            label = _row_label(proto, fraction, k)
-            config_hash = _config_hash(key, train_cfg, spec)
-            if (
-                proto.time_budget_s is not None
-                and time.monotonic() - started > proto.time_budget_s
-            ):
-                rows.extend(_row(label, fraction, k, lam, config_hash) for lam in values)
-                continue
-            seeds = [derive_seed(train_cfg.seed, key, r) for r in range(proto.repetitions)]
-            tasks = [
-                (source, proto, train_cfg, spec, k, distinct, chunk, samples)
-                for chunk in _chunks(seeds, jobs)
-            ]
-            run = map if pool is None else pool.map
-            table = np.concatenate(list(run(_run_reps, tasks)))
-            # A row's columns, in RUN_MODES order: c3 at lam, cv_sequential, cv_independent.
-            rows.extend(
-                _row(label, fraction, k, lam, config_hash, seeds,
-                     table[:, [2 + distinct.index(lam), 1, 0]])
-                for lam in values
-            )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            tables = list(pool.map(_run_reps, tasks))
+    rows = []
+    for fraction, k, key, seeds, count in splits:
+        table, tables = np.concatenate(tables[:count]), tables[count:]
+        label = _row_label(proto, fraction, k)
+        config_hash = _config_hash(key, train_cfg, spec)
+        # A row's columns, in RUN_MODES order: c3 at lam, cv_sequential, cv_independent.
+        rows.extend(
+            _row(label, fraction, k, lam, config_hash, seeds,
+                 table[:, [2 + distinct.index(lam), 1, 0]])
+            for lam in values
+        )
     return ExperimentReport(
         base_seed=train_cfg.seed,
         rows=tuple(rows),
@@ -441,14 +438,10 @@ def lambda_sweep(
 
 
 def _lambda_series(rows, grid) -> tuple[tuple[float, float], ...]:
-    """(lambda, mean c3 accuracy over the non-skipped rows at that lambda), in
-    grid order; a lambda whose rows were all skipped has no point."""
-    series = []
-    for lam in grid:
-        cells = [r for r in rows if r.lam == lam and not r.skipped]
-        if cells:
-            series.append((lam, float(np.mean([r.mean["c3"] for r in cells]))))
-    return tuple(series)
+    """(lambda, mean c3 accuracy over the rows at that lambda), in grid order."""
+    return tuple(
+        (lam, float(np.mean([r.mean["c3"] for r in rows if r.lam == lam]))) for lam in grid
+    )
 
 
 def _report_grid(rows) -> list[float]:
@@ -491,8 +484,6 @@ def verify_report(report: ExperimentReport) -> None:
                 f"{row.label} | lambda={row.lam}: delta2 must be null: "
                 "no reference accuracy is stored to check it against"
             )
-        if row.skipped:
-            continue
         if row.batch_count < 1:
             raise BenchError(f"{row.label}: batch_count must be >= 1, got {row.batch_count}")
         for column in ("batch_acc", "final_acc", "mean", "variance"):
@@ -546,9 +537,6 @@ def _emit_csv(report: ExperimentReport) -> str:
     writer.writerow(["config", "metric", "value"])
     for row in report.rows:
         config = f"{row.label} | lambda={row.lam}"
-        if row.skipped:
-            writer.writerow([config, "skipped", "true"])
-            continue
         for mode in RUN_MODES:
             for i, acc in enumerate(row.batch_acc[mode]):
                 writer.writerow([config, f"{mode}.B{i + 1}", repr(acc)])
@@ -569,10 +557,6 @@ def _emit_markdown(report: ExperimentReport) -> str:
     for row in report.rows:
         lines.append(f"### {row.label} (λ = {row.lam:g})")
         lines.append("")
-        if row.skipped:
-            lines.append("_skipped: time budget exhausted_")
-            lines.append("")
-            continue
         k = row.batch_count
         header = ["run"] + [f"B{i + 1}" for i in range(k)]
         header += ["μ", "σ²", "Δ₁", "Δ₂", "Δ₃"]

@@ -1,9 +1,8 @@
+import concurrent.futures
 import hashlib
-import itertools
 import math
 import re
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from fishershift.bench import (
 )
 from fishershift.cli import main
 from fishershift.data import ShiftRecipe, synth_shift
-from fishershift.numerics import OptimizerConfig, parse_json
+from fishershift.numerics import MlpSpec, OptimizerConfig, canonical_json, parse_json
 from fishershift.penalty import PenaltyConfig
 from fishershift.trainer import TrainConfig, shift_correction
 
@@ -159,13 +158,6 @@ class TestRunProtocol:
     def test_one_point_series_is_the_row_mean(self, small_report):
         row = small_report.rows[0]
         assert small_report.lambda_series == ((0.1, row.mean["c3"]),)
-
-    def test_time_budget_marks_skipped_cells(self):
-        proto = small_protocol(splits=((0.5, 2), (0.25, 4)), time_budget_s=0.0)
-        report = lambda_sweep(RECIPE, (0.1,), proto, small_config(), tabular_spec(4),
-                              samples=400)
-        assert all(row.skipped for row in report.rows)
-        verify_report(report)  # skipped rows are ignored, not errors
 
     @pytest.mark.parametrize(
         "proto", [small_protocol(), ProtocolSpec(mode="foldwise", folds=3, repetitions=1)],
@@ -372,21 +364,43 @@ class TestSharedBaselines:
         assert bench._chunks(seeds, 2) == [[11, 12, 13], [14, 15]]
         assert bench._chunks(seeds, 9) == [[s] for s in seeds]
 
-    def test_time_budget_skips_whole_splits(self, monkeypatch):
-        # A clock that advances 10 s per reading: the budget check before the
-        # first split reads 10 s, before the second 20 s.
-        ticks = itertools.count(0.0, 10.0)
-        monkeypatch.setattr(bench, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
-        proto = small_protocol(splits=((0.5, 2), (0.25, 4)), time_budget_s=15.0)
-        report = lambda_sweep(
-            RECIPE, (0.0, 0.1), proto, small_config(), tabular_spec(4), samples=400
-        )
-        assert [(row.batch_count, row.skipped) for row in report.rows] == [
-            (2, False), (2, False), (4, True), (4, True)
-        ]
-        assert [lam for lam, _ in report.lambda_series] == [0.0, 0.1]
-        assert report.lambda_series[1][1] == report.rows[1].mean["c3"]
-        verify_report(report)
+    @pytest.mark.parametrize("splits, repetitions, jobs, workers, tasks", [
+        (((0.5, 2),), 2, 8, [2], [2]),
+        (((0.5, 2), (0.25, 4)), 3, 2, [2], [4]),
+        (((0.5, 2),), 1, 4, [], []),
+    ], ids=["2reps-jobs8", "2splits-jobs2", "1task-jobs4"])
+    def test_one_map_over_every_split_and_no_surplus_worker(self, monkeypatch, splits,
+                                                            repetitions, jobs, workers, tasks):
+        # An executor that records what it is asked for and runs map inline,
+        # so no process starts. A pool forks all its workers at once, so it
+        # asks for no more than there are (split, chunk) tasks, and one task
+        # runs without a pool.
+        asked, mapped = [], []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, items):
+                items = list(items)
+                mapped.append(len(items))
+                return map(fn, items)
+
+            def shutdown(self, wait=True):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        args = (RECIPE, (0.1,), small_protocol(splits=splits, repetitions=repetitions),
+                small_config(), tabular_spec(4))
+        report = lambda_sweep(*args, samples=400, jobs=jobs)
+        assert (asked, mapped) == (workers, tasks)
+        assert report.to_json() == lambda_sweep(*args, samples=400).to_json()
 
     def test_duplicate_splits_rejected(self):
         with pytest.raises(BenchError, match="distinct"):
@@ -536,44 +550,50 @@ class TestEmission:
             emit_report(small_report, "xml")
 
 
-class TestSkippedRows:
-    """A split skipped by the time budget renders as a marker, with no metrics."""
+class TestSkippedKey:
+    """No sweep skips a row: reports write ``"skipped": false``, and a row
+    read from a file that says otherwise holds no outcomes to render."""
 
-    HEADING = "### Training data = 25% , batches = 4 (λ = 0.1)"
-    CSV_LINE = '"Training data = 25% , batches = 4 | lambda=0.1",skipped,true'
+    def test_rows_write_skipped_false(self, small_report):
+        assert small_report.to_json_dict()["rows"][0]["skipped"] is False
 
-    @pytest.fixture()
-    def report(self, monkeypatch):
-        # The clock of test_time_budget_skips_whole_splits: the second split
-        # starts at 20 s, past the 15 s budget.
-        ticks = itertools.count(0.0, 10.0)
-        monkeypatch.setattr(bench, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
-        proto = small_protocol(splits=((0.5, 2), (0.25, 4)), time_budget_s=15.0)
-        report = lambda_sweep(RECIPE, (0.1,), proto, small_config(), tabular_spec(4),
-                              samples=400)
-        assert [row.skipped for row in report.rows] == [False, True]
-        return report
+    def test_row_without_the_key_parses(self, small_report):
+        payload = small_report.to_json_dict()
+        del payload["rows"][0]["skipped"]
+        assert ExperimentReport.from_json_dict(payload).to_json() == small_report.to_json()
 
-    def test_markdown_puts_the_marker_under_the_heading(self, report):
-        lines = emit_report(report, "markdown").splitlines()
-        at = lines.index(self.HEADING)
-        assert lines[at + 1:at + 4] == ["", "_skipped: time budget exhausted_", ""]
-        assert lines[at + 4] == "### λ sweep"
-
-    def test_csv_writes_one_skipped_line_and_no_metrics(self, report):
-        lines = emit_report(report, "csv").splitlines()
-        assert [line for line in lines if "batches = 4" in line] == [self.CSV_LINE]
-        assert any(line.startswith('"Training data = 50% , batches = 2 | lambda=0.1",c3.B1,')
-                   for line in lines)
-
-    def test_report_command_renders_a_written_report(self, report, tmp_path, capsys):
+    def test_skipped_row_exits_1_with_one_line(self, small_report, tmp_path, capsys):
+        payload = small_report.to_json_dict()
+        payload["rows"][0]["skipped"] = True
         path = tmp_path / "report.json"
-        path.write_text(report.to_json())
-        assert main(["report", "--in", str(path)]) == 0
-        markdown = capsys.readouterr().out
-        assert f"{self.HEADING}\n\n_skipped: time budget exhausted_\n" in markdown
-        assert main(["report", "--in", str(path), "--format", "csv"]) == 0
-        assert f"{self.CSV_LINE}\r\n" in capsys.readouterr().out
+        path.write_text(canonical_json(payload))
+        assert main(["report", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: report row 0: a skipped row holds no outcomes to report\n"
+
+
+class TestConfigHash:
+    """The row's ``config_hash`` tells architectures apart, activations
+    included; an all-relu spec keeps the hash it had before activations
+    were hashed."""
+
+    KEY = "batchwise:0.5:2"
+
+    @pytest.mark.parametrize("hidden, digest", [
+        (((4, "relu"),), "d5f7eeb93bce"),
+        ((), "d48b29bb78a5"),
+    ], ids=["relu", "linear"])
+    def test_relu_and_linear_hashes_are_pinned(self, hidden, digest):
+        assert bench._config_hash(self.KEY, small_config(), MlpSpec(4, hidden)) == digest
+
+    def test_activation_changes_the_hash(self):
+        hashes = {
+            bench._config_hash(self.KEY, small_config(), MlpSpec(4, hidden))
+            for hidden in (((4, "relu"),), ((4, "identity"),),
+                           ((3, "relu"), (2, "identity")), ((3, "identity"), (2, "relu")))
+        }
+        assert len(hashes) == 4
 
 
 class TestVerifier:

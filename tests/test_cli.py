@@ -377,6 +377,28 @@ class TestSweep:
         assert exc.value.code == 2
         assert "--values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_diverging_sweep_exits_1_with_one_line_at_any_jobs(self, tmp_path, jobs):
+        # One map runs every split's tasks; a task that raises fails the sweep
+        # with the worker's error, and the pool is gone when main returns. A
+        # subprocess, so numpy's floating-point warnings would reach stderr.
+        recipe = tmp_path / "drift2.json"
+        recipe.write_text(json.dumps(dataclasses.asdict(fishershift.drift_benchmark_recipe(2))))
+        out = tmp_path / "report.json"
+        argv = ["sweep", "--synth", str(recipe), "--optimizer", "sgd", "--learning-rate", "0.5",
+                "--values", "0,0.1,1e300", "--repetitions", "2", "--samples", "400",
+                "--epochs", "2", "--jobs", jobs, "--out", str(out)]
+        script = (
+            "import multiprocessing\n"
+            "from fishershift.cli import main\n"
+            f"print(main({argv!r}), multiprocessing.active_children())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert (done.stdout, done.stderr) == ("1 []\n", "error: non-finite cross-entropy loss\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["drift2.json"]
+
     def test_zero_value_row_matches_baseline(self, recipe_path, tmp_path):
         out = tmp_path / "report.json"
         code = run_cli(
