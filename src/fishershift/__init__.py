@@ -54,13 +54,9 @@ from .information import (
     crlb_verify,
     discrete_kl,
     empirical_fisher_diagonal,
-    empirical_fisher_full,
     empirical_fisher_scalar,
     gaussian_kl,
-    gaussian_kl_quadrature,
-    hessian_diagonal_fd_oracle,
     kl_second_order,
-    negative_hessian_diagonal,
 )
 from .numerics import (
     MlpSpec,
@@ -75,7 +71,6 @@ from .numerics import (
     loss_and_gradient,
     optimizer_step,
     parameter_layout,
-    zero_params,
 )
 from .penalty import (
     PenaltyConfig,

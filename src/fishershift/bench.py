@@ -10,7 +10,8 @@ and trains ``cv_independent`` once (``trainer.shift_correction``). Then
 ``cv_sequential`` and the penalised trainer at every distinct lambda, for
 every repetition, train once each, together as one stack
 (``trainer.train_members``): the baselines do not depend on lambda, and
-any runs may share a stack. ``jobs`` (at least 1) cuts each split's
+any runs may share a stack. ``jobs`` (at least 1, capped at the usable
+CPUs, which more processes would only share) cuts each split's
 repetitions into chunks, one stack per chunk; every (split, chunk) task of
 the sweep goes through one ``map``, in at most ``jobs`` processes, and the
 report bytes do not depend on it. The split's outcomes are one table, per
@@ -33,6 +34,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -56,6 +58,7 @@ from .numerics import (
     json_field,
     json_object,
 )
+from . import trainer
 from .penalty import PenaltyConfig
 from .trainer import RUN_MODES, Run, TrainConfig, shift_correction, train_members
 
@@ -348,6 +351,16 @@ def _splits(proto: ProtocolSpec) -> tuple[tuple, ...]:
     return ((None, proto.folds - 1),)
 
 
+def _statistics(batch_acc) -> dict:
+    """A row's ``mean``, ``variance``, ``delta1`` and ``delta3`` from its batch
+    accuracies, the one derivation ``_row`` writes and ``verify_report`` checks."""
+    mean = {mode: float(np.mean(accs)) for mode, accs in batch_acc.items()}
+    variance = {mode: population_variance(accs) for mode, accs in batch_acc.items()}
+    return dict(mean=mean, variance=variance,
+                delta1=delta_value(mean["c3"], mean["cv_independent"]),
+                delta3=delta_value(mean["c3"], mean["cv_sequential"]))
+
+
 def _row(label, fraction, k, lam, config_hash, seeds, outcomes):
     """The report row of one (split, lambda). ``outcomes`` is a (repetitions,
     3, K + 1) table whose columns follow ``RUN_MODES``."""
@@ -355,8 +368,6 @@ def _row(label, fraction, k, lam, config_hash, seeds, outcomes):
     # Rounding: batch accuracies reduce along axis 0, the final one is a 1-D mean.
     batch_acc = {mode: tuple(t[:, :k].mean(axis=0).tolist()) for mode, t in tables.items()}
     final_acc = {mode: float(np.mean(t[:, k])) for mode, t in tables.items()}
-    mean = {mode: float(np.mean(accs)) for mode, accs in batch_acc.items()}
-    variance = {mode: population_variance(accs) for mode, accs in batch_acc.items()}
     return ReportRow(
         label=label,
         fraction=fraction,
@@ -366,11 +377,8 @@ def _row(label, fraction, k, lam, config_hash, seeds, outcomes):
         config_hash=config_hash,
         batch_acc=batch_acc,
         final_acc=final_acc,
-        mean=mean,
-        variance=variance,
-        delta1=delta_value(mean["c3"], mean["cv_independent"]),
         delta2=None,
-        delta3=delta_value(mean["c3"], mean["cv_sequential"]),
+        **_statistics(batch_acc),
     )
 
 
@@ -402,6 +410,7 @@ def lambda_sweep(
     if jobs < 1:
         raise BenchError(f"jobs must be >= 1, got {jobs}")
     distinct = tuple(dict.fromkeys(values))
+    jobs = min(jobs, trainer._usable_cpus())
     splits, tasks = [], []
     for fraction, k in _splits(proto):
         key = _cell_key(proto.mode, fraction, k)
@@ -466,8 +475,13 @@ def _report_grid(rows) -> list[float]:
 VERIFY_TOL = 1e-9
 
 
+def _finite(value) -> bool:
+    """False for NaN, the infinities and integers beyond the float range."""
+    return abs(value) <= sys.float_info.max
+
+
 def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= VERIFY_TOL  # False for NaN
+    return _finite(a) and _finite(b) and abs(a - b) <= VERIFY_TOL
 
 
 def verify_report(report: ExperimentReport) -> None:
@@ -476,14 +490,23 @@ def verify_report(report: ExperimentReport) -> None:
     Raises on the first discrepancy; printed deltas are never trusted. A
     report that carries a lambda series must carry exactly the series its
     rows give; a report read from a file may carry none. ``delta2`` must be
-    null, because no reference accuracy is stored to recompute it from.
+    null, because no reference accuracy is stored to recompute it from. The
+    raw numbers (lambda >= 0, fraction, both accuracy columns) must be finite.
     """
     for row in report.rows:
+        name = f"{row.label} | lambda={row.lam}"
         if row.delta2 is not None:
             raise BenchError(
-                f"{row.label} | lambda={row.lam}: delta2 must be null: "
+                f"{name}: delta2 must be null: "
                 "no reference accuracy is stored to check it against"
             )
+        if not (_finite(row.lam) and row.lam >= 0):
+            raise BenchError(f"{name}: lambda must be a finite number >= 0")
+        for column, numbers in (("fraction", [row.fraction or 0.0]),
+                                ("final_acc", row.final_acc.values()),
+                                ("batch_acc", sum(row.batch_acc.values(), ()))):
+            if not all(map(_finite, numbers)):
+                raise BenchError(f"{name}: {column} must hold finite numbers")
         if row.batch_count < 1:
             raise BenchError(f"{row.label}: batch_count must be >= 1, got {row.batch_count}")
         for column in ("batch_acc", "final_acc", "mean", "variance"):
@@ -492,14 +515,15 @@ def verify_report(report: ExperimentReport) -> None:
         for mode, accs in row.batch_acc.items():
             if len(accs) != row.batch_count:
                 raise BenchError(f"{row.label}: {mode} holds {len(accs)} batch accuracies")
-            if not _close(float(np.mean(accs)), row.mean[mode]):
-                raise BenchError(f"{row.label}: stored mean for {mode} is inconsistent")
-            if not _close(population_variance(accs), row.variance[mode]):
-                raise BenchError(f"{row.label}: stored variance for {mode} is inconsistent")
-        for name, other in (("delta1", "cv_independent"), ("delta3", "cv_sequential")):
-            stored = getattr(row, name)
-            if stored is None or not _close(stored, row.mean["c3"] - row.mean[other]):
-                raise BenchError(f"{row.label}: stored {name} is inconsistent")
+        derived = _statistics(row.batch_acc)
+        for mode in RUN_MODES:
+            for column in ("mean", "variance"):
+                if not _close(derived[column][mode], getattr(row, column)[mode]):
+                    raise BenchError(f"{row.label}: stored {column} for {mode} is inconsistent")
+        for column in ("delta1", "delta3"):
+            stored = getattr(row, column)
+            if stored is None or not _close(stored, derived[column]):
+                raise BenchError(f"{row.label}: stored {column} is inconsistent")
     if report.lambda_series:
         expected = _lambda_series(report.rows, _report_grid(report.rows))
         stored = report.lambda_series

@@ -1,10 +1,11 @@
 """Information-theoretic quantities: Fisher information, KL divergence, CRLB.
 
-Covers the closed-form Gaussian KL, a Gaussian quadrature for cross-checking it,
-analytic and empirical Fisher information for scalar families and for MLP
-classifiers, a finite-difference Hessian oracle, a Monte-Carlo check of the
-Cramer-Rao lower bound, and the second-order expansion that ties KL divergence
-to Fisher information.
+Training runs the diagonal empirical Fisher of a classifier (a
+``FisherEstimate``, which the penalty accumulates) and the closed-form KL
+between Gaussian batch moments behind the trace diagnostics. The Cramer-Rao
+checks run the rest: analytic and empirical Fisher information of scalar
+families, a Monte-Carlo check of the bound, and the exact discrete KL with
+the second-order expansion that ties it to Fisher information.
 """
 
 from __future__ import annotations
@@ -13,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    MlpSpec,
-    ParameterVector,
-    cross_entropy_loss,
-    forward,
-    loss_and_gradient,
-    score_square_mean,
-)
+from .numerics import MlpSpec, ParameterVector, score_square_mean
 
 
 class InformationError(ValueError):
@@ -58,61 +52,6 @@ def gaussian_kl(p: GaussianMoments, q: GaussianMoments) -> float:
     ratio = q.variance / p.variance
     term = np.log(ratio) + (p.variance + (p.mean - q.mean) ** 2) / q.variance - 1.0
     return float(0.5 * term.sum())
-
-
-# Quadrature: two successive Simpson estimates must agree to QUAD_TOL before
-# the interval count reaches QUAD_MAX_INTERVALS; the support spans
-# QUAD_WIDTH P-sigmas on either side of P's mean.
-QUAD_TOL = 1e-10
-QUAD_MAX_INTERVALS = 1 << 17
-QUAD_WIDTH = 12.0
-
-
-def _simpson_refine(integrand, lo: float, hi: float) -> float:
-    """Composite Simpson with interval doubling until two estimates agree."""
-    if not hi > lo:
-        raise InformationError("empty integration support")
-
-    def integral(n_intervals: int) -> float:
-        xs = np.linspace(lo, hi, n_intervals + 1)
-        f = np.asarray(integrand(xs), dtype=np.float64)
-        h = (hi - lo) / n_intervals
-        weights = np.ones(n_intervals + 1)
-        weights[1:-1:2] = 4.0
-        weights[2:-1:2] = 2.0
-        return float(h / 3.0 * (weights * f).sum())
-
-    n = 256
-    previous = integral(n)
-    while n < QUAD_MAX_INTERVALS:
-        n *= 2
-        current = integral(n)
-        if abs(current - previous) < QUAD_TOL:
-            return current
-        previous = current
-    raise InformationError("quadrature did not converge")
-
-
-def gaussian_kl_quadrature(p: GaussianMoments, q: GaussianMoments) -> float:
-    """Quadrature KL for Gaussians on a symmetric support of ``QUAD_WIDTH``
-    P-sigmas, an independent cross-check of ``gaussian_kl``.
-
-    The integrand is assembled from log densities: at the support edges a far
-    or narrow Q underflows float64 even though it is mathematically positive.
-    """
-    if p.dim != q.dim:
-        raise InformationError("moment dimensions differ")
-    total = 0.0
-    for mu_p, var_p, mu_q, var_q in zip(p.mean, p.variance, q.mean, q.variance):
-        sd = float(np.sqrt(var_p))
-
-        def integrand(xs, mp=mu_p, vp=var_p, mq=mu_q, vq=var_q):
-            log_p = -((xs - mp) ** 2) / (2.0 * vp) - 0.5 * np.log(2.0 * np.pi * vp)
-            log_q = -((xs - mq) ** 2) / (2.0 * vq) - 0.5 * np.log(2.0 * np.pi * vq)
-            return np.exp(log_p) * (log_p - log_q)
-
-        total += _simpson_refine(integrand, mu_p - QUAD_WIDTH * sd, mu_p + QUAD_WIDTH * sd)
-    return total
 
 
 def discrete_kl(p_probs, q_probs) -> float:
@@ -243,65 +182,6 @@ def empirical_fisher_diagonal(
         raise InformationError("empty batch")
     diag = score_square_mean(spec, params, x, labels)
     return FisherEstimate(diag, params, int(x.shape[0]))
-
-
-FULL_FISHER_PARAM_LIMIT = 50
-
-
-def empirical_fisher_full(spec: MlpSpec, params: ParameterVector, x, labels) -> np.ndarray:
-    """Full score-outer-product Fisher matrix, for oracle testing only.
-
-    Quadratic in the parameter count, so restricted to tiny models; its
-    diagonal must agree with ``empirical_fisher_diagonal`` exactly.
-    """
-    if params.size > FULL_FISHER_PARAM_LIMIT:
-        raise InformationError(
-            f"full Fisher limited to {FULL_FISHER_PARAM_LIMIT} parameters, got {params.size}"
-        )
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    if n == 0:
-        raise InformationError("empty batch")
-    labels = np.asarray(labels)
-    out = np.zeros((params.size, params.size))
-    for i in range(n):
-        # Per-sample score = gradient of log-likelihood = minus the one-row
-        # loss gradient.
-        _, grad = loss_and_gradient(spec, params, x[i : i + 1], labels[i : i + 1])
-        score = -grad.values
-        out += np.outer(score, score)
-    return out / n
-
-
-FD_STEP = 1e-4
-
-
-def negative_hessian_diagonal(fn, theta) -> np.ndarray:
-    """-d^2 fn / d theta_i^2 by second-order central differences of step
-    ``FD_STEP``."""
-    theta = np.asarray(theta, dtype=np.float64)
-    centre = fn(theta)
-    out = np.zeros_like(theta)
-    for i in range(theta.size):
-        up = theta.copy()
-        dn = theta.copy()
-        up[i] += FD_STEP
-        dn[i] -= FD_STEP
-        out[i] = -(fn(up) - 2.0 * centre + fn(dn)) / FD_STEP**2
-    if not np.all(np.isfinite(out)):
-        raise InformationError("non-finite finite-difference Hessian")
-    return out
-
-
-def hessian_diagonal_fd_oracle(spec: MlpSpec, params: ParameterVector, x, labels) -> np.ndarray:
-    """Negative Hessian diagonal of the mean log-likelihood of a classifier,
-    the negated cross-entropy loss."""
-
-    def ll(theta):
-        loss, _ = cross_entropy_loss(forward(spec, params.with_values(theta), x), labels)
-        return -loss
-
-    return negative_hessian_diagonal(ll, params.values)
 
 
 @dataclass(frozen=True)

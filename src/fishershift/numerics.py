@@ -40,6 +40,7 @@ import functools
 import json
 import math
 import os
+import re
 import tempfile
 import typing
 from dataclasses import dataclass
@@ -166,10 +167,15 @@ def _object_of(check):
     )
 
 
+# JSON's "\ud800" escape reads as a lone surrogate, which UTF-8 cannot encode,
+# so no file or stream the package writes could hold such a string.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
 # How a JSON payload holds a value of each field type: (check, what an error
 # message says is expected). Booleans are neither integers nor numbers.
 _JSON_TYPES = {
-    str: (lambda v: isinstance(v, str), "a string"),
+    str: (lambda v: isinstance(v, str) and not _SURROGATE.search(v),
+          "a string that UTF-8 can encode"),
     bool: (lambda v: isinstance(v, bool), "a boolean"),
     int: (_is_int, "an integer"),
     float: (_is_number, "a number"),
@@ -335,12 +341,6 @@ def write_atomic(path, content: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def zero_params(spec: MlpSpec) -> ParameterVector:
-    layout = parameter_layout(spec)
-    n = layout[-1].stop if layout else 0
-    return ParameterVector(np.zeros(n), layout)
 
 
 def init_params(spec: MlpSpec, seed: int) -> ParameterVector:

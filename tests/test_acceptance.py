@@ -43,11 +43,9 @@ from fishershift.information import (
     empirical_fisher_diagonal,
     empirical_fisher_scalar,
     gaussian_kl,
-    gaussian_kl_quadrature,
-    hessian_diagonal_fd_oracle,
     kl_second_order,
 )
-from fishershift.numerics import MlpSpec, init_params, loss_and_gradient, zero_params
+from fishershift.numerics import MlpSpec, init_params, loss_and_gradient
 from fishershift.penalty import (
     PenaltyConfig,
     absorb_batch,
@@ -56,7 +54,13 @@ from fishershift.penalty import (
 )
 from fishershift.information import FisherEstimate
 from fishershift.trainer import TrainConfig, shift_correction
-from oracles import central_difference_gradient, max_relative_error
+from oracles import (
+    central_difference_gradient,
+    gaussian_kl_quadrature,
+    hessian_diagonal_fd_oracle,
+    max_relative_error,
+    zero_params,
+)
 
 
 def report_line(number: int, ok: bool, detail: str) -> None:

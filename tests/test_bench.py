@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fishershift.bench as bench
+from fishershift import trainer
 from fishershift.bench import (
     BATCHWISE_GRID,
     BenchError,
@@ -364,17 +365,21 @@ class TestSharedBaselines:
         assert bench._chunks(seeds, 2) == [[11, 12, 13], [14, 15]]
         assert bench._chunks(seeds, 9) == [[s] for s in seeds]
 
-    @pytest.mark.parametrize("splits, repetitions, jobs, workers, tasks", [
-        (((0.5, 2),), 2, 8, [2], [2]),
-        (((0.5, 2), (0.25, 4)), 3, 2, [2], [4]),
-        (((0.5, 2),), 1, 4, [], []),
-    ], ids=["2reps-jobs8", "2splits-jobs2", "1task-jobs4"])
-    def test_one_map_over_every_split_and_no_surplus_worker(self, monkeypatch, splits,
-                                                            repetitions, jobs, workers, tasks):
+    @pytest.mark.parametrize("splits, repetitions, jobs, cpus, workers, tasks", [
+        (((0.5, 2),), 2, 8, 8, [2], [2]),
+        (((0.5, 2), (0.25, 4)), 3, 2, 2, [2], [4]),
+        (((0.5, 2),), 1, 4, 4, [], []),
+        (((0.5, 2),), 3, 3, 2, [2], [2]),
+    ], ids=["2reps-jobs8", "2splits-jobs2", "1task-jobs4", "jobs3-2cpus"])
+    def test_one_map_over_every_split_and_no_surplus_worker(
+        self, monkeypatch, splits, repetitions, jobs, cpus, workers, tasks
+    ):
         # An executor that records what it is asked for and runs map inline,
         # so no process starts. A pool forks all its workers at once, so it
-        # asks for no more than there are (split, chunk) tasks, and one task
+        # asks for no more than there are (split, chunk) tasks or usable CPUs
+        # (pinned here, so the host's count does not matter), and one task
         # runs without a pool.
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: cpus)
         asked, mapped = [], []
 
         class InlinePool:
@@ -628,8 +633,19 @@ class TestVerifier:
             (lambda r: r["batch_acc"].pop("cv_sequential"), "batch_acc must hold exactly"),
             (lambda r: r["batch_acc"]["c3"].append(50.0), "c3 holds 3 batch accuracies"),
             (lambda r: r.update(delta1=None), "stored delta1"),
+            (lambda r: r["mean"].update(c3=10**400), "stored mean for c3"),
+            (lambda r: r.update(delta3=-math.inf), "stored delta3"),
+            # json.loads reads NaN, Infinity and integers of any size.
+            (lambda r: r.update(fraction=math.nan), "lambda=0.1: fraction must hold finite"),
+            (lambda r: r["final_acc"].update(c3=math.inf), "final_acc must hold finite"),
+            (lambda r: r["batch_acc"].update(c3=[50.0, -math.inf]), "batch_acc must hold finite"),
+            (lambda r: r["batch_acc"].update(c3=[10**400, 50.0]), "batch_acc must hold finite"),
+            (lambda r: r.update({"lambda": -0.5}), "lambda=-0.5: lambda must be a finite number"),
+            (lambda r: r.update({"lambda": math.inf}), "lambda must be a finite number >= 0"),
         ],
-        ids=["nan_mean", "missing_mode", "extra_batch", "null_delta"],
+        ids=["nan_mean", "missing_mode", "extra_batch", "null_delta", "huge_mean", "inf_delta",
+             "nan_fraction", "inf_final_acc", "-inf_batch_acc", "huge_batch_acc",
+             "negative_lambda", "inf_lambda"],
     )
     def test_detects_inconsistent_row(self, small_report, edit, message):
         payload = small_report.rows[0].to_json_dict()

@@ -482,6 +482,9 @@ def test_shuffle_auto_keeps_recipe_order_and_shuffles_datasets(recipe_path, tmp_
         assert out[name, "auto"] == out[name, same] != out[name, other]
 
 
+ROW_0 = "Training data = 50% , batches = 2"
+
+
 class TestReport:
     def make_report(self, recipe_path, tmp_path):
         out = tmp_path / "report.json"
@@ -543,8 +546,19 @@ class TestReport:
             (lambda p: p.pop("rows"), "report: missing key 'rows'"),
             (lambda p: p.update(rows={"0": {}}), "report: 'rows' must be a list"),
             (lambda p: p["rows"][0].pop("mean"), "report row 0: missing key 'mean'"),
+            # "\ud800" is valid JSON; json.loads reads it as a lone surrogate,
+            # which neither a UTF-8 file nor stdout can hold.
+            (lambda p: p["rows"][0].update(label="x\ud800"),
+             "report row 0: 'label' must be a string that UTF-8 can encode"),
+            (lambda p: p["rows"][0].update(fraction=float("nan")),
+             f"{ROW_0} | lambda=0.1: fraction must hold finite numbers"),
+            (lambda p: p["rows"][0]["final_acc"].update(c3=float("inf")),
+             f"{ROW_0} | lambda=0.1: final_acc must hold finite numbers"),
+            (lambda p: p["rows"][0].update({"lambda": -0.5}),
+             f"{ROW_0} | lambda=-0.5: lambda must be a finite number >= 0"),
         ],
-        ids=["rows_missing", "rows_not_list", "row_without_mean"],
+        ids=["rows_missing", "rows_not_list", "row_without_mean", "label_surrogate",
+             "nan_fraction", "inf_final_acc", "negative_lambda"],
     )
     def test_malformed_report_exits_1_with_one_line(
         self, recipe_path, tmp_path, capsys, edit, message

@@ -9,19 +9,16 @@ from fishershift.information import (
     crlb_verify,
     discrete_kl,
     empirical_fisher_diagonal,
-    empirical_fisher_full,
     empirical_fisher_scalar,
     gaussian_kl,
+    kl_second_order,
+)
+from fishershift.numerics import MlpSpec, cross_entropy_loss, forward, init_params
+from oracles import (
+    empirical_fisher_full,
     gaussian_kl_quadrature,
     hessian_diagonal_fd_oracle,
-    kl_second_order,
     negative_hessian_diagonal,
-)
-from fishershift.numerics import (
-    MlpSpec,
-    cross_entropy_loss,
-    forward,
-    init_params,
     zero_params,
 )
 

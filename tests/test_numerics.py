@@ -29,7 +29,6 @@ from fishershift.numerics import (
     optimizer_step,
     parameter_layout,
     score_square_mean,
-    zero_params,
 )
 from fishershift.numerics import _backprop, _layer_plan, _views
 from fishershift.trainer import RUN_MODES, TrainConfig, shift_correction
@@ -38,6 +37,7 @@ from oracles import (
     max_relative_error,
     python_cross_entropy,
     python_mlp_forward,
+    zero_params,
 )
 
 

@@ -97,6 +97,15 @@ def test_a_parameter_beyond_the_float_range_is_rejected():
         RunTrace.from_json_dict(payload)
 
 
+def test_a_string_utf8_cannot_encode_is_rejected():
+    # json.loads reads the escape "\ud800" as a lone surrogate, which no
+    # UTF-8 file or stream can hold.
+    payload = trace_payload(0)
+    payload["final_params"]["layout"][0]["name"] = "x\ud800"
+    with pytest.raises(TrainerError, match="'name' must be a string that UTF-8 can encode"):
+        RunTrace.from_json_dict(payload)
+
+
 @pytest.mark.parametrize(
     "read, error",
     [(ShiftRecipe.from_json_file, DataError),

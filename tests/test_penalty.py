@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fishershift.information import FisherEstimate
-from fishershift.numerics import MlpSpec, init_params, loss_and_gradient, zero_params
+from fishershift.numerics import MlpSpec, init_params, loss_and_gradient
 from fishershift.penalty import (
     PenaltyConfig,
     PenaltyError,
@@ -12,7 +12,7 @@ from fishershift.penalty import (
     penalty_term,
     penalty_value,
 )
-from oracles import central_difference_gradient, max_relative_error
+from oracles import central_difference_gradient, max_relative_error, zero_params
 
 SPEC = MlpSpec(input_dim=2, hidden_layers=((3, "relu"),), output_classes=2)
 

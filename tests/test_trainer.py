@@ -23,7 +23,6 @@ from fishershift.numerics import (
     init_params,
     loss_and_gradient,
     optimizer_step,
-    zero_params,
 )
 from fishershift.penalty import PenaltyConfig, absorb_batch
 from fishershift.trainer import (
@@ -35,6 +34,7 @@ from fishershift.trainer import (
     shift_correction,
     train_members,
 )
+from oracles import zero_params
 
 SPEC = MlpSpec(input_dim=4, hidden_layers=((4, "relu"),), output_classes=2)
 
