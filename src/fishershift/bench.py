@@ -425,9 +425,15 @@ def lambda_sweep(
     else:
         # Imported here, so a run in one process never loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            tables = list(pool.map(_run_reps, tasks))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                tables = list(pool.map(_run_reps, tasks))
+        except BrokenProcessPool:  # the pool has terminated every other worker
+            raise BenchError(
+                "a sweep worker process ended abruptly (killed, or out of memory)"
+            ) from None
     rows = []
     for fraction, k, key, seeds, count in splits:
         table, tables = np.concatenate(tables[:count]), tables[count:]

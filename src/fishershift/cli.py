@@ -332,6 +332,9 @@ def main(argv=None) -> int:
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's message names the allocation it could not make
+        print(f"error: {args.command} ran out of memory. {exc}".rstrip(), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,20 +10,22 @@ Each spec's layer slices are resolved once and cached. The forward pass,
 the softmax and the one backprop routine work on a stack of M models whose
 flat vectors are the rows of one (M, P) matrix, with batched products;
 ``forward``, ``loss_and_gradient`` and ``score_square_mean`` are their M=1
-case, and the backprop serves both the gradient and the squared scores. The
-input is one batch shared by every member or one batch per member, as a (1
-or M, rows, features) array that broadcasts against the (M, fan_in, fan_out)
-weights, so every later array is (M, rows, width). ``train_visit``, the one
-step kernel, runs every minibatch step of a batch visit for all M members in
-lockstep, updating private buffers in place. Per member it performs the same
-floating-point operations in the same order as the pure functions on that
-member's own batch, so each member's results are bit-identical to them and
-to a run of that member alone. Backprop sums each bias term over the rows
-with ``einsum``, which adds the rows in order, one at a time, as numpy's own
-reduction over a non-contiguous axis does, so the bits are those of
-``np.add.reduce``. A layer one unit wide, whose rows numpy sums pairwise,
-keeps the ufunc reduction, as does a term of at most 64 rows in all, where
-the ufunc is the faster of the two.
+case, and the backprop serves both the gradient and the squared scores.
+``forward_stack`` takes one (rows, features) batch shared by every member;
+``train_visit``, the one step kernel, takes a list of one such batch per
+member. The input reaches the layers as a (1 or M, rows, features) array
+that broadcasts against the (M, fan_in, fan_out) weights, so every later
+array is (M, rows, width). ``train_visit`` runs every minibatch step of a
+batch visit for all M members in lockstep, updating private buffers in
+place. Per member it performs the same floating-point operations in the
+same order as the pure functions on that member's own batch, so each
+member's results are bit-identical to them and to a run of that member
+alone. Backprop sums each bias term over the rows with ``einsum``, which
+adds the rows in order, one at a time, as numpy's own reduction over a
+non-contiguous axis does, so the bits are those of ``np.add.reduce``. A
+layer one unit wide, whose rows numpy sums pairwise, keeps the ufunc
+reduction, as does a term of at most 64 rows in all, where the ufunc is the
+faster of the two.
 
 The module also holds the serialisation helpers that the modules above it
 share: JSON field checks, the parameter-layout JSON codec, the canonical
@@ -356,28 +358,19 @@ def init_params(spec: MlpSpec, seed: int) -> ParameterVector:
     return ParameterVector(values, layout)
 
 
-def _input_blocks(spec: MlpSpec, x, members: int) -> list[np.ndarray]:
-    """The input blocks of ``x``, float64 (rows, features) arrays: a 2-D
-    array is one block, shared by all ``members``; a list holds one block
-    per member (or one for all), all of one shape. Blocks are views of ``x``
+def _input_block(spec: MlpSpec, x) -> np.ndarray:
+    """``x`` checked as one float64 (rows, features) batch, a view of it
     where its dtype allows."""
-    if isinstance(x, (list, tuple)):
-        blocks = [np.asarray(block, dtype=np.float64) for block in x]
-        if not blocks or len(blocks) not in (1, members):
-            raise NumericsError(f"{len(blocks)} input blocks for {members} members")
-    else:
-        blocks = [np.asarray(x, dtype=np.float64)]
-    if any(b.ndim != 2 or b.shape != blocks[0].shape for b in blocks):
-        raise NumericsError("input must be 2-D (rows, features), or a list of such blocks")
-    if blocks[0].shape[1] != spec.input_dim:
-        raise NumericsError(
-            f"input has {blocks[0].shape[1]} features, spec expects {spec.input_dim}"
-        )
-    return blocks
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise NumericsError("input must be 2-D (rows, features)")
+    if x.shape[1] != spec.input_dim:
+        raise NumericsError(f"input has {x.shape[1]} features, spec expects {spec.input_dim}")
+    return x
 
 
 def _block_rows(blocks: list[np.ndarray], start: int, stop: int, out=None) -> np.ndarray:
-    """Rows ``start:stop`` (within bounds) of every block as one (1 or M,
+    """Rows ``start:stop`` (within bounds) of each of M blocks as one (M,
     rows, features) array: a view of a lone block, else a copy (into
     ``out``, if given)."""
     if len(blocks) == 1:
@@ -389,19 +382,17 @@ def _block_rows(blocks: list[np.ndarray], start: int, stop: int, out=None) -> np
     return out
 
 
-def _check_labels(labels, blocks: int, rows: int, classes: int) -> np.ndarray:
-    """The labels of ``blocks`` input blocks of ``rows`` rows each: (rows,)
-    for one block, or a list of one such vector per block; returned as
-    (blocks, rows)."""
+def _check_labels(labels, rows: int, classes: int) -> np.ndarray:
+    """A list of label vectors, ``rows`` labels for each input block, as one
+    (blocks, rows) array."""
     if rows < 1:
         raise NumericsError("a batch needs at least one row")
-    listed = isinstance(labels, (list, tuple)) and all(np.shape(y) == (rows,) for y in labels)
-    labels = np.asarray(labels) if blocks == 1 or listed else np.empty(0)
-    if labels.shape not in ((blocks, rows), (rows,) if blocks == 1 else None):
-        raise NumericsError(f"expected {rows} labels for each of {blocks} input block(s)")
+    if any(np.shape(y) != (rows,) for y in labels):
+        raise NumericsError(f"expected {rows} labels for each input block")
+    labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= classes:
         raise NumericsError(f"label out of range [0, {classes})")
-    return labels.reshape(blocks, rows)
+    return labels
 
 
 def _row_offsets(members: int, rows: int, classes: int) -> np.ndarray:
@@ -533,15 +524,11 @@ def _stack(members) -> np.ndarray:
 
 
 def forward_stack(spec: MlpSpec, members, x) -> np.ndarray:
-    """Logits of every member, shape (M, rows, output_classes).
-
-    ``x`` is (rows, features), shared by every member, or a list of M such
-    blocks (copied into one array), one per member.
-    """
-    blocks = _input_blocks(spec, x, len(members))
+    """Logits of every member on ``x``, one (rows, features) batch shared
+    by all of them; shape (M, rows, output_classes)."""
+    x = _input_block(spec, x)
     layers = _layers_for(spec, members)
-    x = _block_rows(blocks, 0, blocks[0].shape[0])
-    _, pre_acts = _forward_trace(layers, _views(layers, _stack(members)), x)
+    _, pre_acts = _forward_trace(layers, _views(layers, _stack(members)), x[None])
     logits = pre_acts[-1]
     if not np.isfinite(logits).all():
         raise NumericsError("non-finite logits in forward pass")
@@ -600,7 +587,7 @@ def cross_entropy_loss(logits, labels) -> tuple[float, np.ndarray]:
     if logits.ndim != 2:
         raise NumericsError("logits must be 2-D")
     n, c = logits.shape
-    labels = _check_labels(labels, 1, n, c)
+    labels = _check_labels([labels], n, c)
     loss, prob = _softmax_cross_entropy(logits[None], _row_offsets(1, n, c) + labels)
     return float(loss[0]), prob[0]
 
@@ -620,9 +607,9 @@ def _loss_and_gradient_into(layers, blocks, x, positions, grad_blocks) -> np.nda
 def _single_batch(spec: MlpSpec, params: ParameterVector, x, labels):
     """The checked layers, input block and label positions of one member on
     one batch."""
-    (x,) = _input_blocks(spec, x, 1)
+    x = _input_block(spec, x)
     layers = _layers_for(spec, (params,))
-    labels = _check_labels(labels, 1, x.shape[0], spec.output_classes)
+    labels = _check_labels([labels], x.shape[0], spec.output_classes)
     positions = _row_offsets(1, x.shape[0], spec.output_classes) + labels
     return layers, x[None], positions
 
@@ -748,20 +735,19 @@ def train_visit(
 
     ``members`` and ``opt_states`` hold one parameter vector and one
     optimizer state per member; the states share one config and step count.
-    ``x`` is the batch, (rows, features) with labels (rows,), shared by
-    every member; or a list of M such batches with a list of M label
-    vectors, one per member, the form the trainer passes. The minibatches
-    of a shared batch, or of a list of one, are views of it; with more
-    members, batches are never stacked whole: each step copies only its
-    minibatch rows of each into one (M, rows, features) buffer, so members
-    may pass the same array. The members are stacked into one (M, P)
-    matrix, and each step runs the forward pass, softmax cross-entropy
-    backprop, the optional penalty and the optimizer update for all of them
-    at once, with batched products, on buffers private to this call,
-    updated in place. Per member, the floating-point operations and their
-    order are those of ``loss_and_gradient`` plus the penalty followed by
-    ``optimizer_step`` on its own batch, so each member's results are
-    bit-identical to that composition.
+    ``x`` is a list of M batches, one per member, each (rows, features) with
+    the same rows, and ``labels`` a list of M label vectors (rows,); members
+    may pass the same array. A lone member's minibatches are views of its
+    batch; with more members, batches are never stacked whole: each step
+    copies only its minibatch rows of each into one (M, rows, features)
+    buffer. The members are stacked into one (M, P) matrix, and each step
+    runs the forward pass, softmax cross-entropy backprop, the optional
+    penalty and the optimizer update for all of them at once, with batched
+    products, on buffers private to this call, updated in place. Per
+    member, the floating-point operations and their order are those of
+    ``loss_and_gradient`` plus the penalty followed by ``optimizer_step`` on
+    its own batch, so each member's results are bit-identical to that
+    composition.
 
     Input shape, label range and ``minibatch_size >= 1`` are checked once,
     for the whole batch that every minibatch is sliced from; every member's
@@ -774,12 +760,17 @@ def train_visit(
     fresh parameters, fresh optimizer states and the mean step loss, one per
     member; the caller's vectors and states are never written.
     """
-    blocks = _input_blocks(spec, x, len(members))
+    layers = _layers_for(spec, members)
+    for items, what in ((x, "input batch"), (labels, "label vector")):
+        if not isinstance(items, (list, tuple)) or len(items) != len(members):
+            raise NumericsError(f"expected one {what} per member, as a list of {len(members)}")
+    blocks = [_input_block(spec, block) for block in x]
     n = blocks[0].shape[0]
-    labels = _check_labels(labels, len(blocks), n, spec.output_classes)
+    if any(block.shape[0] != n for block in blocks):
+        raise NumericsError("every member's batch must have the same rows")
+    labels = _check_labels(labels, n, spec.output_classes)
     if minibatch_size < 1:
         raise NumericsError(f"minibatch_size must be >= 1, got {minibatch_size}")
-    layers = _layers_for(spec, members)
     shared = {(s.config, s.step_count) for s in opt_states}
     if len(opt_states) != len(members) or len(shared) != 1:
         raise NumericsError("members need optimizer states of one config and step count")

@@ -1,14 +1,19 @@
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
+import resource
+import signal
 import subprocess
 import sys
 
 import pytest
 
 import fishershift
+import fishershift.bench as bench
 import fishershift.cli as cli
+from fishershift import trainer
 from fishershift.cli import build_parser, main, model_spec, protocol_spec, train_config
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(fishershift.__file__)))
@@ -339,6 +344,41 @@ def test_every_value_the_parser_accepts_builds_the_configs(edge, protocol):
     model_spec(args, 1, 2)
 
 
+def kill_this_process(task):
+    """A sweep task that kills the worker running it (module level, so the
+    pool can send it by name)."""
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+HUGE = str(10**15)
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--synth", "{recipe}", "--samples-per-batch", HUGE, "--out", "{out}"],
+    ["sweep", "--synth", "{recipe}", "--samples", HUGE, "--out", "{out}"],
+    ["synth", "--recipe", "{recipe}", "--samples-per-batch", HUGE, "--out", "{out}"],
+], ids=["train", "sweep", "synth"])
+def test_out_of_memory_exits_1_with_one_line(argv, recipe_path, tmp_path):
+    # A fresh interpreter with its own address space capped at 4 GB, so the
+    # allocation fails in it whatever the host's memory.
+    argv = [a.format(recipe=recipe_path, out=tmp_path / "out") for a in argv]
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 4_000_000_000 if hard == resource.RLIM_INFINITY else min(hard, 4_000_000_000)
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {hard}))\n"
+        "from fishershift.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert done.returncode == 1
+    (line,) = done.stderr.splitlines()
+    assert line.startswith(f"error: {argv[0]} ran out of memory. Unable to allocate ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["drift.json"]
+
+
 class TestSweep:
     def test_default_grid_produces_four_rows(self, recipe_path, tmp_path):
         out = tmp_path / "report.json"
@@ -398,6 +438,25 @@ class TestSweep:
                               env=env, timeout=300)
         assert (done.stdout, done.stderr) == ("1 []\n", "error: non-finite cross-entropy loss\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["drift2.json"]
+
+    def test_a_worker_that_dies_exits_1_with_one_line(self, recipe_path, tmp_path, monkeypatch,
+                                                      capsys):
+        # Each forked worker kills itself, as an out-of-memory kill would. The
+        # pool ends the other worker, and the sweep fails with one line,
+        # writes no report and leaves no child process.
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(bench, "_run_reps", kill_this_process)
+        code = run_cli(
+            "sweep", "--synth", recipe_path, "--values", "0.1", "--batches", "2",
+            "--repetitions", "2", "--epochs", "1", "--samples", "120", "--jobs", "2",
+            "--out", str(tmp_path / "report.json"),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: a sweep worker process ended abruptly (killed, or out of memory)\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["drift.json"]
+        assert multiprocessing.active_children() == []
 
     def test_zero_value_row_matches_baseline(self, recipe_path, tmp_path):
         out = tmp_path / "report.json"

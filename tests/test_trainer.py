@@ -380,12 +380,16 @@ class TestStackedMembers:
         assert stacked[1].records == stacked[0].records
         assert not np.array_equal(stacked[3].final_params.values, stacked[0].final_params.values)
 
-    def test_runs_with_any_configs_equal_their_own_runs(self):
+    @pytest.mark.parametrize("order", ["given", "reversed", "permuted", "cut"])
+    def test_runs_with_any_configs_equal_their_own_runs(self, order):
         # A run with fewer epochs drops out early, one with another seed
         # steps with the others, and ones with another learning rate or
         # minibatch size step in groups of their own. A
         # cv_independent run is one member per batch, here on data shared
-        # with other runs and on data of its own.
+        # with other runs and on data of its own. No run's bits depend on
+        # where it sits in the stack, or on which runs share its call: the
+        # runs go in as given, reversed, in a seeded permutation, or cut
+        # into two calls.
         train, val, plan = drift_setup(k=3, n_per_batch=80)
         other = drift_setup(k=2, n_per_batch=70, seed=2)
         cfgs = member_configs()
@@ -397,7 +401,19 @@ class TestStackedMembers:
             replace(c3, minibatch_size=20),
             replace(c3, baseline_mode="cv_independent", seed=3),
         ]) + [Run(*other, replace(c3, baseline_mode="cv_independent", epochs=4, seed=5))]
-        for got, run in zip(train_members(runs, SPEC), runs, strict=True):
+        positions = {
+            "given": range(len(runs)),
+            "reversed": range(len(runs) - 1, -1, -1),
+            "permuted": np.random.default_rng(0).permutation(len(runs)),
+            "cut": range(len(runs)),
+        }[order]
+        runs = [runs[i] for i in positions]
+        if order == "cut":
+            half = len(runs) // 2
+            traces = train_members(runs[:half], SPEC) + train_members(runs[half:], SPEC)
+        else:
+            traces = train_members(runs, SPEC)
+        for got, run in zip(traces, runs, strict=True):
             assert_same_run(got, shift_correction(*run[:3], SPEC, run.cfg))
 
     @pytest.mark.parametrize("stack", ["paired", "mixed"])

@@ -97,7 +97,10 @@ def test_kernel_matches_step_composition_bitwise(spec, kind, penalty, rows, memb
     lams = [cfg.lam for _, cfg in penalties]
     term = penalty_term(states, lams, params)
     assert (term is None) == (penalty == "empty")
-    got_p, got_opt, got_loss = train_visit(spec, params, opt_states, x, y, 32, term)
+    # Every member passes the same array.
+    got_p, got_opt, got_loss = train_visit(
+        spec, params, opt_states, [x] * members, [y] * members, 32, term
+    )
 
     assert len(got_p) == len(got_opt) == len(got_loss) == members
     for i, (state, cfg) in enumerate(penalties):
@@ -120,14 +123,14 @@ def test_members_must_share_the_optimizer_step():
     x, y = batch(TABULAR, 64, seed=1)
     params = init_params(TABULAR, 0)
     fresh = init_optimizer_state(OptimizerConfig(), params.size)
-    _, (stepped,), _ = train_visit(TABULAR, (params,), (fresh,), x, y, 32)
+    _, (stepped,), _ = train_visit(TABULAR, (params,), (fresh,), [x], [y], 32)
     with pytest.raises(NumericsError, match="step count"):
-        train_visit(TABULAR, (params, params), (fresh, stepped), x, y, 32)
+        train_visit(TABULAR, (params, params), (fresh, stepped), [x] * 2, [y] * 2, 32)
     other = init_optimizer_state(OptimizerConfig(learning_rate=0.5), params.size)
     with pytest.raises(NumericsError, match="one config"):
-        train_visit(TABULAR, (params, params), (fresh, other), x, y, 32)
+        train_visit(TABULAR, (params, params), (fresh, other), [x] * 2, [y] * 2, 32)
     with pytest.raises(NumericsError, match="one config"):
-        train_visit(TABULAR, (params,), (), x, y, 32)
+        train_visit(TABULAR, (params,), (), [x], [y], 32)
 
 
 def test_nan_feature_raises():
@@ -136,7 +139,7 @@ def test_nan_feature_raises():
     params = init_params(TABULAR, 0)
     opt_state = init_optimizer_state(OptimizerConfig(), params.size)
     with np.errstate(invalid="ignore"), pytest.raises(NumericsError, match="non-finite"):
-        train_visit(TABULAR, (params,), (opt_state,), x, y, 32)
+        train_visit(TABULAR, (params,), (opt_state,), [x], [y], 32)
 
 
 def test_batch_shape_and_labels_checked_once_per_visit():
@@ -144,11 +147,11 @@ def test_batch_shape_and_labels_checked_once_per_visit():
     params = init_params(TABULAR, 0)
     opt_state = init_optimizer_state(OptimizerConfig(), params.size)
     with pytest.raises(NumericsError, match="features"):
-        train_visit(TABULAR, (params,), (opt_state,), x[:, :3], y, 32)
+        train_visit(TABULAR, (params,), (opt_state,), [x[:, :3]], [y], 32)
     y = y.copy()
     y[63] = 2  # only the last minibatch holds the bad label
     with pytest.raises(NumericsError, match="label out of range"):
-        train_visit(TABULAR, (params,), (opt_state,), x, y, 32)
+        train_visit(TABULAR, (params,), (opt_state,), [x], [y], 32)
 
 
 def test_layout_mismatch_rejected():
@@ -156,7 +159,7 @@ def test_layout_mismatch_rejected():
     params = init_params(NO_BIAS, 0)
     opt_state = init_optimizer_state(OptimizerConfig(), params.size)
     with pytest.raises(NumericsError, match="layout"):
-        train_visit(TABULAR, (params,), (opt_state,), x, y, 32)
+        train_visit(TABULAR, (params,), (opt_state,), [x], [y], 32)
 
 
 def member_batches(spec, rows, blocks):
@@ -213,39 +216,62 @@ def test_per_member_inputs_match_each_members_own_visit(spec, kind, penalty, row
 
 
 @pytest.mark.parametrize("spec", [TABULAR, DEEP, NO_BIAS], ids=["tabular", "deep", "no_bias"])
-@pytest.mark.parametrize(
-    "order", [(0,), (0, 1, 2), (0, 1, 2, 3), (0, 0, 1, 1)], ids=["M1", "M3", "M4", "M4-pairs"]
-)
-def test_forward_stack_takes_per_member_inputs(spec, order):
-    params = tuple(init_params(spec, seed) for seed in range(len(order)))
-    batches = [x for x, _ in member_batches(spec, 33, max(order) + 1)]
-    xs = [batches[d] for d in order]
-    logits = forward_stack(spec, params, xs)
+@pytest.mark.parametrize("members", [1, 3], ids=["M1", "M3"])
+def test_forward_stack_shares_one_batch(spec, members):
+    params = tuple(init_params(spec, seed) for seed in range(members))
+    x, _ = batch(spec, 33, seed=20)
+    logits = forward_stack(spec, params, x)
+    assert logits.shape == (members, 33, spec.output_classes)
     for j, member in enumerate(params):
-        assert np.array_equal(logits[j], forward(spec, member, xs[j]))
-    # A list of one block is shared, like the bare block.
-    assert np.array_equal(forward_stack(spec, params, xs[:1]), forward_stack(spec, params, xs[0]))
+        assert np.array_equal(logits[j], forward(spec, member, x))
 
 
-def test_per_member_input_shapes_checked():
+def rejected_visits():
+    """By name: members, one visit's inputs and labels of a form the kernel
+    rejects, and the one-line message it raises; ``x2`` has 60 rows, ``x`` 64."""
+    (x, y), (x2, y2) = member_batches(TABULAR, 64, 2)
+    x2, y2 = x2[:60], y2[:60]
+    batches = "expected one input batch per member, as a list of {}".format
+    vectors = "expected one label vector per member, as a list of {}".format
+    two_d = "input must be 2-D (rows, features)"
+    return {
+        "bare_batch_M1": (1, x, [y], batches(1)),
+        "bare_batch_M2": (2, x, [y, y], batches(2)),
+        "stacked_batches": (2, np.stack([x, x]), [y, y], batches(2)),
+        "one_batch_for_M2": (2, [x], [y, y], batches(2)),
+        "three_batches_for_M2": (2, [x, x, x], [y, y], batches(2)),
+        "no_batch": (1, [], [y], batches(1)),
+        "1d_block": (1, [x[0]], [y[:1]], two_d),
+        "3d_block": (1, [x[None]], [y], two_d),
+        "unequal_rows": (2, [x, x2], [y, y2], "every member's batch must have the same rows"),
+        "bare_labels": (1, [x], y, vectors(1)),
+        "one_label_vector_for_M2": (2, [x, x], [y], vectors(2)),
+        "stacked_labels": (2, [x, x], np.stack([y, y]), vectors(2)),
+        "short_labels": (2, [x, x], [y, y[:63]], "expected 64 labels for each input block"),
+        "2d_labels": (1, [x], [y[:, None]], "expected 64 labels for each input block"),
+    }
+
+
+REJECTED_VISITS = rejected_visits()
+
+
+@pytest.mark.parametrize("case", list(REJECTED_VISITS))
+def test_train_visit_takes_only_one_batch_per_member(case):
+    members, xs, ys, message = REJECTED_VISITS[case]
     params = init_params(TABULAR, 0)
     opt_state = init_optimizer_state(OptimizerConfig(), params.size)
-    (x, y), (x2, y2) = member_batches(TABULAR, 64, 2)
-    stack, states = (params,) * 3, (opt_state,) * 3
-    # One block per member, or one for all: neither 0 nor 2 for 3 members.
-    for xs, ys in (([], []), ([x, x2], [y, y2])):
-        with pytest.raises(NumericsError, match="input blocks for 3 members"):
-            train_visit(TABULAR, stack, states, xs, ys, 32)
-    with pytest.raises(NumericsError, match="list of such blocks"):
-        train_visit(TABULAR, stack[:2], states[:2], [x, x2[:60]], [y, y2[:60]], 32)
-    with pytest.raises(NumericsError, match="must be 2-D"):
-        train_visit(TABULAR, stack[:2], states[:2], np.stack([x, x2]), [y, y2], 32)
-    # One label vector per input block, each as long as the blocks.
-    for ys in (y, [y], [y, y2, y], [y, y2[:60]], np.stack([y, y2])):
-        with pytest.raises(NumericsError, match="labels for each of 2 input block"):
-            train_visit(TABULAR, stack[:2], states[:2], [x, x2], ys, 32)
-    with pytest.raises(NumericsError, match="labels for each of 1 input block"):
-        train_visit(TABULAR, stack[:1], states[:1], x, y[:63], 32)
+    with pytest.raises(NumericsError) as exc:
+        train_visit(TABULAR, (params,) * members, (opt_state,) * members, xs, ys, 32)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("members", [1, 2], ids=["M1", "M2"])
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_forward_stack_rejects_a_list_of_batches(members, blocks):
+    params = tuple(init_params(TABULAR, seed) for seed in range(members))
+    xs = [x for x, _ in member_batches(TABULAR, 33, blocks)]
+    with pytest.raises(NumericsError, match="^input must be 2-D \\(rows, features\\)$"):
+        forward_stack(TABULAR, params, xs)
 
 
 def test_empty_batch_and_minibatch_size_checked():
@@ -253,6 +279,6 @@ def test_empty_batch_and_minibatch_size_checked():
     opt_state = init_optimizer_state(OptimizerConfig(), params.size)
     x, y = batch(TABULAR, 64, seed=1)
     with pytest.raises(NumericsError, match="at least one row"):
-        train_visit(TABULAR, (params,), (opt_state,), x[:0], y[:0], 32)
+        train_visit(TABULAR, (params,), (opt_state,), [x[:0]], [y[:0]], 32)
     with pytest.raises(NumericsError, match="minibatch_size must be >= 1"):
-        train_visit(TABULAR, (params,), (opt_state,), x, y, 0)
+        train_visit(TABULAR, (params,), (opt_state,), [x], [y], 0)
