@@ -256,7 +256,10 @@ def batchwise_split(
     train, val, train_idx, val_idx = train_validation_split(
         dataset, validation_fraction, seed=seed, shuffle=shuffle_rows(source, shuffle)
     )
-    if np.intersect1d(train_idx, val_idx).size:
+    # A mask, not np.intersect1d: np.unique would import numpy.ma.
+    held_out = np.zeros(dataset.n, dtype=bool)
+    held_out[val_idx] = True
+    if held_out[train_idx].any():
         raise BenchError("validation rows overlap the training rows")
     return train, val, fragment(train, k)
 

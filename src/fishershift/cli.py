@@ -197,6 +197,8 @@ def cmd_train(args) -> int:
         source, k, args.samples_per_batch, args.val_fraction,
         SHUFFLE_CHOICES[args.shuffle], args.seed,
     )
+    # The split copied the rows it keeps; a loaded dataset is not needed again.
+    del source
     spec = model_spec(args, train.dim, train.class_count)
     cfg = train_config(args, args.baseline)
     trace = shift_correction(train, validation, plan, spec, cfg)

@@ -174,6 +174,21 @@ class TestRunProtocol:
             lambda_sweep(RECIPE, (0.1,), proto, small_config(), tabular_spec(4), samples=20)
 
 
+class TestBatchwiseSplit:
+    def test_overlapping_holdout_rows_are_rejected(self, monkeypatch):
+        # A split that handed back a holdout row among the training rows
+        # would bias the validation accuracy, so batchwise_split refuses it.
+        split = bench.train_validation_split
+
+        def overlapping(dataset, *args, **kwargs):
+            train, val, train_idx, val_idx = split(dataset, *args, **kwargs)
+            return train, val, train_idx, np.append(val_idx, train_idx[-1])
+
+        monkeypatch.setattr(bench, "train_validation_split", overlapping)
+        with pytest.raises(BenchError, match="^validation rows overlap the training rows$"):
+            batchwise_split(RECIPE, 2, 50, 0.2, None, 0)
+
+
 class TestFoldwise:
     def test_five_rotations_cover_dataset_once(self):
         proto = ProtocolSpec(mode="foldwise", folds=5, repetitions=1)
@@ -364,6 +379,22 @@ class TestSharedBaselines:
         assert bench._chunks(seeds, 1) == [seeds]
         assert bench._chunks(seeds, 2) == [[11, 12, 13], [14, 15]]
         assert bench._chunks(seeds, 9) == [[s] for s in seeds]
+
+    @pytest.mark.parametrize("cut", ["one_per_repetition", "one_for_all"])
+    @pytest.mark.parametrize("proto", [
+        small_protocol(splits=((0.5, 2), (0.25, 4)), repetitions=3),
+        ProtocolSpec(mode="foldwise", folds=3, repetitions=3),
+    ], ids=["batchwise", "foldwise"])
+    def test_the_report_does_not_depend_on_the_chunk_cut(self, monkeypatch, proto, cut):
+        # Whichever stacks the repetitions of a split train in, one task
+        # each or all in one, the report bytes are those of the default cut.
+        args = (RECIPE, self.LAMBDAS, proto, small_config(), tabular_spec(4))
+        default = lambda_sweep(*args, samples=400, jobs=1)
+        monkeypatch.setattr(bench, "_chunks", {
+            "one_per_repetition": lambda seeds, jobs: [[seed] for seed in seeds],
+            "one_for_all": lambda seeds, jobs: [seeds],
+        }[cut])
+        assert lambda_sweep(*args, samples=400, jobs=1).to_json() == default.to_json()
 
     @pytest.mark.parametrize("splits, repetitions, jobs, cpus, workers, tasks", [
         (((0.5, 2),), 2, 8, 8, [2], [2]),

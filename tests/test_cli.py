@@ -7,6 +7,7 @@ import resource
 import signal
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -128,6 +129,27 @@ class TestTrain:
         )
         assert code == 0 and out.exists()
 
+    def test_the_loaded_dataset_is_freed_before_training(self, tmp_path, monkeypatch):
+        # Only the split's copies of the rows train, so the loaded matrix is
+        # let go before the run starts.
+        loaded, alive = [], []
+        resolve_source, shift_correction = cli.resolve_source, cli.shift_correction
+
+        def resolve_spy(args):
+            source = resolve_source(args)
+            loaded.append(weakref.ref(source))
+            return source
+
+        def train_spy(*args, **kwargs):
+            alive.append(loaded[0]() is not None)
+            return shift_correction(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "resolve_source", resolve_spy)
+        monkeypatch.setattr(cli, "shift_correction", train_spy)
+        code = run_cli("train", "--csv", write_csv_source(tmp_path / "data.csv"),
+                       "--batches", "2", "--epochs", "1", "--out", str(tmp_path / "run.json"))
+        assert code == 0 and alive == [False]
+
     def test_runtime_failure_exits_1(self, tmp_path, capsys):
         code = run_cli("train", "--synth", str(tmp_path / "missing.json"),
                        "--out", str(tmp_path / "x.json"))
@@ -173,8 +195,9 @@ def test_importing_the_cli_loads_no_process_pool():
 
 def test_train_and_a_one_process_sweep_start_no_thread(recipe_path, tmp_path):
     # Tabular validation sets are evaluated inline, so these runs never load
-    # concurrent.futures or start the evaluation thread. A fresh interpreter:
-    # this one may hold the module already.
+    # concurrent.futures or start the evaluation thread; and nothing they run
+    # loads numpy.ma (np.unique's masked-array probe does). A fresh
+    # interpreter: this one may hold the modules already.
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     train = ["train", "--synth", recipe_path, "--epochs", "1", "--samples-per-batch", "60",
              "--out", str(tmp_path / "run.json")]
@@ -188,11 +211,11 @@ def test_train_and_a_one_process_sweep_start_no_thread(recipe_path, tmp_path):
         "threading.Thread.start = lambda self: (started.append(self.name), start(self))\n"
         "from fishershift.cli import main\n"
         f"codes = [main({train!r}), main({sweep!r})]\n"
-        "print(codes, started, 'concurrent.futures' in sys.modules)\n"
+        "print(codes, started, 'concurrent.futures' in sys.modules, 'numpy.ma' in sys.modules)\n"
     )
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, check=True)
-    assert done.stdout.splitlines()[-1] == "[0, 0] [] False"
+    assert done.stdout.splitlines()[-1] == "[0, 0] [] False False"
 
 
 def test_every_train_config_field_is_set_by_a_flag():

@@ -8,6 +8,7 @@ import pytest
 from fishershift import trainer
 from fishershift.data import (
     Dataset,
+    FragmentationPlan,
     ShiftRecipe,
     batch_moments,
     fragment,
@@ -497,31 +498,32 @@ def wide_setup(seed=0, rows=800, k=3):
     return train, val, fragment(train, k)
 
 
+@pytest.fixture()
+def force(monkeypatch):
+    """``force(threaded)`` picks the evaluation path by the CPU count alone,
+    and returns the list that gets, per validation pass, whether it ran on
+    the main thread and numpy's error state there."""
+    passes = []
+    evaluate_stack = trainer._evaluate_stack
+
+    def spy(*args):
+        passes.append((threading.current_thread() is threading.main_thread(), np.geterr()))
+        return evaluate_stack(*args)
+
+    def force_path(threaded):
+        monkeypatch.setattr(trainer, "_THREAD_EVAL_SIZE", 0)
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 2 if threaded else 1)
+        passes.clear()
+        return passes
+
+    monkeypatch.setattr(trainer, "_evaluate_stack", spy)
+    return force_path
+
+
 class TestEvaluationThread:
     """Visit v's validation passes run inline or, for large validation sets
     on a host with a second CPU, on a thread while visit v+1 trains; both
     paths give the same bytes, hook calls and errors."""
-
-    @pytest.fixture()
-    def force(self, monkeypatch):
-        """``force(threaded)`` picks the path by the CPU count alone, and
-        returns the list that gets, per validation pass, whether it ran on
-        the main thread and numpy's error state there."""
-        passes = []
-        evaluate_stack = trainer._evaluate_stack
-
-        def spy(*args):
-            passes.append((threading.current_thread() is threading.main_thread(), np.geterr()))
-            return evaluate_stack(*args)
-
-        def force_path(threaded):
-            monkeypatch.setattr(trainer, "_THREAD_EVAL_SIZE", 0)
-            monkeypatch.setattr(trainer, "_usable_cpus", lambda: 2 if threaded else 1)
-            passes.clear()
-            return passes
-
-        monkeypatch.setattr(trainer, "_evaluate_stack", spy)
-        return force_path
 
     @pytest.mark.parametrize("mode", ["c3", "cv_sequential", "cv_independent"])
     def test_both_paths_give_the_same_trace_and_hook_calls(self, force, mode):
@@ -619,6 +621,128 @@ class TestEvaluationThread:
         monkeypatch.setattr(trainer, "_usable_cpus", lambda: cpus)
         shift_correction(train, val, plan, WIDE_SPEC, quick_config(epochs=1))
         assert [on_main for on_main, _ in passes] == [not on_thread] * plan.batch_count
+
+
+OPTIMIZERS = (OptimizerConfig(learning_rate=0.01), OptimizerConfig(kind="sgd", learning_rate=0.05))
+
+
+def draw_stack(rng):
+    """A mixed stack drawn by ``rng``: a spec of 10 or 784 inputs; one or two
+    training sets, each cut by one or two plans, into near-equal batches or
+    batches of random sizes (8 rows or more); a validation set of each
+    training set's own and one that every run may share; and 4-8 runs of
+    any mode, seed 0-2 and lambda 0, 0.1 or (with Adam, whose steps stay
+    bounded) 1e12. Each run's optimizer (SGD or Adam), epochs (1-3) and
+    minibatch size (5, 8, 16 or 32) are the draw's own or, a quarter of the
+    time, drawn for the run, so that runs step in shared groups and in
+    groups of their own."""
+    dim = int(rng.choice([10, 784]))
+    classes = int(rng.integers(2, 4))
+    spec = MlpSpec(input_dim=dim, hidden_layers=((int(rng.integers(2, 6)), "relu"),),
+                   output_classes=classes)
+    weights = rng.normal(size=(dim, classes))
+
+    def data(rows):
+        x = rng.normal(size=(rows, dim))
+        return Dataset(x, np.argmax(x @ weights, axis=1), classes)
+
+    shared_validation = data(int(rng.integers(10, 30)))
+    sources = []
+    for _ in range(rng.integers(1, 3)):
+        train = data(int(rng.integers(40, 100)))
+        k = int(rng.integers(1, 5))
+        if rng.integers(2):
+            plans = [fragment(train, k)]
+        else:
+            sizes = 8 + rng.multinomial(train.n - 8 * k, [1 / k] * k)
+            plans = [FragmentationPlan(tuple(sizes.tolist()))]
+        if rng.integers(2):
+            # The same batch sizes in reverse: runs of the two plans meet at
+            # equal sizes after unequal numbers of steps.
+            plans.append(FragmentationPlan(plans[0].sizes[::-1]))
+        sources.append((train, plans, (data(int(rng.integers(10, 30))), shared_validation)))
+
+    def optimizer():
+        return OPTIMIZERS[rng.integers(len(OPTIMIZERS))]
+
+    def epochs():
+        return int(rng.integers(1, 4))
+
+    def minibatch_size():
+        return int(rng.choice([5, 8, 16, 32]))
+
+    own = optimizer(), epochs(), minibatch_size()
+    runs = []
+    for _ in range(rng.integers(4, 9)):
+        train, plans, validations = sources[rng.integers(len(sources))]
+        opt, n_epochs, size = (mine if rng.integers(4) else fresh()
+                               for mine, fresh in zip(own, (optimizer, epochs, minibatch_size)))
+        lams = (0.0, 0.1, 1e12) if opt.kind == "adam" else (0.0, 0.1)
+        cfg = TrainConfig(
+            epochs=n_epochs,
+            minibatch_size=size,
+            optimizer=opt,
+            penalty=PenaltyConfig(lam=float(rng.choice(lams))),
+            seed=int(rng.integers(3)),
+            baseline_mode=str(rng.choice(trainer.RUN_MODES)),
+        )
+        runs.append(Run(train, validations[rng.integers(2)], plans[rng.integers(len(plans))], cfg))
+    return spec, runs
+
+
+class TestStackContract:
+    """A run's bytes do not depend on which runs share its stack, on their
+    order, or on how the runs are cut into ``train_members`` calls; seeded
+    draws of mixed stacks check it."""
+
+    DRAWS = 12
+
+    def test_the_draws_cover_every_kind_of_run_and_sharing(self):
+        draws = [draw_stack(np.random.default_rng(draw)) for draw in range(self.DRAWS)]
+        runs = [run for _, stack in draws for run in stack]
+        c3 = {run.cfg.penalty.lam for run in runs if run.cfg.baseline_mode == "c3"}
+        assert {run.cfg.baseline_mode for run in runs} == set(trainer.RUN_MODES)
+        assert {0.0, 1e12} <= c3
+        assert {run.cfg.optimizer.kind for run in runs} == {"adam", "sgd"}
+        assert {run.cfg.epochs for run in runs} == {1, 2, 3}
+        assert any(size % run.cfg.minibatch_size for run in runs for size in run.plan.sizes)
+        assert {spec.input_dim for spec, _ in draws} == {10, 784}
+
+        def shares(stack, part):
+            """Whether two runs of ``stack`` share, and two do not share, ``part``."""
+            ids = [id(getattr(run, part)) for run in stack]
+            return len(set(ids)) < len(ids), len(set(ids)) > 1
+
+        for part in ("dataset", "plan", "validation"):
+            assert (True, True) in {shares(stack, part) for _, stack in draws}, part
+        # Two plans of one training set in one stack.
+        assert any(len({(id(a.dataset), id(a.plan)) for a in stack}) >
+                   len({id(a.dataset) for a in stack}) for _, stack in draws)
+
+    @pytest.mark.parametrize("draw", range(DRAWS))
+    def test_a_drawn_stack_trains_each_run_as_alone(self, force, draw):
+        rng = np.random.default_rng(draw)
+        spec, runs = draw_stack(rng)
+        alone = [shift_correction(*run[:3], spec, run.cfg) for run in runs]
+        alone_json = [trace.to_json() for trace in alone]
+        everyone = np.arange(len(runs))
+        cuts = np.sort(rng.choice(everyone[1:], size=rng.integers(1, 3), replace=False))
+        arrangements = {
+            "whole": [everyone],
+            "permuted": [rng.permutation(everyone)],
+            "partitioned": np.split(rng.permutation(everyone), cuts),
+        }
+        for threaded in (False, True):
+            passes = force(threaded)
+            for name, calls in arrangements.items():
+                traces = {}
+                for call in calls:
+                    traces.update(zip(call, train_members([runs[i] for i in call], spec),
+                                      strict=True))
+                for i, trace in traces.items():
+                    assert trace.to_json() == alone_json[i], (name, i)
+                    assert_same_run(trace, alone[i])
+            assert {on_main for on_main, _ in passes} == {not threaded}
 
 
 class TestTraceSerialization:
