@@ -14,10 +14,11 @@ any runs may share a stack. ``jobs`` (at least 1, capped at the usable
 CPUs, which more processes would only share) cuts each split's
 repetitions into chunks, one stack per chunk; every (split, chunk) task of
 the sweep goes through one ``map``, in at most ``jobs`` processes, and the
-report bytes do not depend on it. The split's outcomes are one table, per
-repetition: ``cv_independent``, ``cv_sequential``, then ``c3`` at each
-distinct lambda, each K batch accuracies and the final accuracy. Every lambda
-row reads its three columns from it, averaged over repetitions. Reports
+report bytes do not depend on it. The split's outcomes are one table keyed
+by run: each (mode, lambda) maps to that run's K batch accuracies and final
+accuracy, per repetition; the baselines train at lambda 0 and are keyed
+there. Every lambda row reads ``c3`` at its lambda and both baselines from
+it, averaged over repetitions. Reports
 store the raw per-batch accuracy columns next to every derived statistic so
 a verifier can recompute them; printed deltas are never trusted anywhere.
 The harness leaves ``delta2`` null: it has no reference run to compare
@@ -101,8 +102,8 @@ class ProtocolSpec:
             if k < 1:
                 raise BenchError(f"batch count must be >= 1, got {k}")
             # The fraction is display metadata rounded to the nearest 5%, so
-            # it must sit within half a step of 1/K.
-            if abs(fraction - 1.0 / k) > 0.025 + 1e-12:
+            # it must sit within half a step of 1/K; NaN fails the test.
+            if not abs(fraction - 1.0 / k) <= 0.025 + 1e-12:
                 raise BenchError(
                     f"split fraction {fraction} inconsistent with batch count {k}"
                 )
@@ -296,7 +297,7 @@ def _rep_splits(source, proto: ProtocolSpec, k: int, seed: int, samples: int) ->
     return splits
 
 
-def _run_reps(args) -> np.ndarray:
+def _run_reps(args) -> dict[tuple[str, float], np.ndarray]:
     """The outcome table of the repetitions ``seeds`` of one split; one
     argument tuple, so that one ``map`` call runs every task of a sweep.
 
@@ -305,10 +306,10 @@ def _run_reps(args) -> np.ndarray:
     ``cv_independent`` on each through ``shift_correction``. Then
     ``cv_sequential`` and ``c3`` at each of the distinct ``lambdas``, on
     every split of every repetition, train together as one
-    ``train_members`` stack. Returns a (repetitions, 2 + L, K + 1) array:
-    columns ``cv_independent``, ``cv_sequential``, then ``c3`` per lambda,
-    each the K batch accuracies and the final accuracy, in percent,
-    averaged over the repetition's splits.
+    ``train_members`` stack. Returns a map from each run's key, (mode,
+    lambda), to its (repetitions, K + 1) table: the K batch accuracies and
+    the final accuracy, in percent, averaged over the repetition's splits.
+    The baselines train at lambda 0, so they are keyed at 0.0.
     """
     (source, proto, train_cfg, spec, k, lambdas, seeds, samples) = args
     splits, independent = [], []
@@ -318,18 +319,19 @@ def _run_reps(args) -> np.ndarray:
             independent.append(_accuracies(shift_correction(
                 train, val, plan, spec, _mode_config(train_cfg, "cv_independent", 0.0, seed)
             )))
-    modes = [("cv_sequential", 0.0)] + [("c3", lam) for lam in lambdas]
+    runs = [("cv_sequential", 0.0)] + [("c3", lam) for lam in lambdas]
     stacked = train_members(
         [Run(train, val, plan, _mode_config(train_cfg, mode, lam, seed))
-         for seed, train, val, plan in splits for mode, lam in modes],
+         for seed, train, val, plan in splits for mode, lam in runs],
         spec,
     )
     table = np.concatenate([
         np.asarray(independent)[:, None],
-        np.asarray([_accuracies(trace) for trace in stacked]).reshape(len(splits), len(modes), -1),
-    ], axis=1).reshape(len(seeds), len(splits) // len(seeds), len(modes) + 1, -1)
+        np.asarray([_accuracies(trace) for trace in stacked]).reshape(len(splits), len(runs), -1),
+    ], axis=1).reshape(len(seeds), len(splits) // len(seeds), len(runs) + 1, -1)
     # Along a non-final axis numpy adds the splits one at a time, in order.
-    return table.sum(axis=1) / table.shape[1]
+    means = table.mean(axis=1).transpose(1, 0, 2)
+    return dict(zip([("cv_independent", 0.0)] + runs, means))
 
 
 def _mode_config(train_cfg: TrainConfig, mode: str, lam: float, seed: int) -> TrainConfig:
@@ -364,10 +366,11 @@ def _statistics(batch_acc) -> dict:
                 delta3=delta_value(mean["c3"], mean["cv_sequential"]))
 
 
-def _row(label, fraction, k, lam, config_hash, seeds, outcomes):
-    """The report row of one (split, lambda). ``outcomes`` is a (repetitions,
-    3, K + 1) table whose columns follow ``RUN_MODES``."""
-    tables = dict(zip(RUN_MODES, outcomes.transpose(1, 0, 2)))
+def _row(label, fraction, k, lam, config_hash, seeds, table):
+    """The report row of one (split, lambda). ``table`` is the split's
+    outcome table, as ``_run_reps`` keys it; the row reads ``c3`` at ``lam``
+    and both baselines at 0.0."""
+    tables = {mode: table[mode, lam if mode == "c3" else 0.0] for mode in RUN_MODES}
     # Rounding: batch accuracies reduce along axis 0, the final one is a 1-D mean.
     batch_acc = {mode: tuple(t[:, :k].mean(axis=0).tolist()) for mode, t in tables.items()}
     final_acc = {mode: float(np.mean(t[:, k])) for mode, t in tables.items()}
@@ -439,15 +442,11 @@ def lambda_sweep(
             ) from None
     rows = []
     for fraction, k, key, seeds, count in splits:
-        table, tables = np.concatenate(tables[:count]), tables[count:]
+        chunks, tables = tables[:count], tables[count:]
+        table = {run: np.concatenate([chunk[run] for chunk in chunks]) for run in chunks[0]}
         label = _row_label(proto, fraction, k)
         config_hash = _config_hash(key, train_cfg, spec)
-        # A row's columns, in RUN_MODES order: c3 at lam, cv_sequential, cv_independent.
-        rows.extend(
-            _row(label, fraction, k, lam, config_hash, seeds,
-                 table[:, [2 + distinct.index(lam), 1, 0]])
-            for lam in values
-        )
+        rows.extend(_row(label, fraction, k, lam, config_hash, seeds, table) for lam in values)
     return ExperimentReport(
         base_seed=train_cfg.seed,
         rows=tuple(rows),

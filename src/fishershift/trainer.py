@@ -189,8 +189,6 @@ class RunTrace:
 def _evaluate_stack(spec: MlpSpec, members, dataset: Dataset) -> list[float]:
     """Each member's fraction of argmax-correct predictions, from one stacked
     forward pass; ties resolve to the lowest class."""
-    if dataset.n < 1:
-        raise TrainerError("cannot evaluate on an empty dataset")
     predictions = np.argmax(forward_stack(spec, members, dataset.features), axis=-1)
     return np.mean(predictions == dataset.labels, axis=-1).tolist()
 

@@ -74,6 +74,17 @@ class TestProtocolSpec:
         with pytest.raises(BenchError, match="inconsistent"):
             ProtocolSpec(splits=((0.5, 5),))
 
+    def test_nan_split_fraction_rejected_before_any_work(self, monkeypatch):
+        # NaN fails every comparison, so only a test that NaN cannot pass
+        # rejects it; else the sweep trains and writes a NaN fraction.
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(bench, "_run_reps", no_work)
+        with pytest.raises(BenchError, match="split fraction nan inconsistent with batch count 2"):
+            lambda_sweep(RECIPE, (0.1,), small_protocol(splits=((math.nan, 2),)),
+                         small_config(), tabular_spec(4))
+
     def test_bad_mode_rejected(self):
         with pytest.raises(BenchError, match="mode"):
             ProtocolSpec(mode="diagonal")
@@ -292,6 +303,13 @@ class TestLambdaSweep:
             lambda_sweep(RECIPE, values, small_protocol(), small_config(), tabular_spec(4),
                          jobs=jobs)
 
+    @pytest.mark.parametrize("proto", [
+        small_protocol(), ProtocolSpec(mode="foldwise", folds=3, repetitions=1),
+    ], ids=["batchwise", "foldwise"])
+    def test_unsupported_source_rejected(self, proto):
+        with pytest.raises(BenchError, match="unsupported data source str"):
+            lambda_sweep("drift.json", (0.1,), proto, small_config(), tabular_spec(4))
+
     def test_default_grid_comes_from_protocol(self):
         report = lambda_sweep(
             RECIPE, None, small_protocol(repetitions=1), small_config(), tabular_spec(4),
@@ -395,6 +413,20 @@ class TestSharedBaselines:
             "one_for_all": lambda seeds, jobs: [seeds],
         }[cut])
         assert lambda_sweep(*args, samples=400, jobs=1).to_json() == default.to_json()
+
+    @pytest.mark.parametrize("proto", [
+        small_protocol(splits=((0.5, 2), (0.25, 4)), repetitions=2),
+        ProtocolSpec(mode="foldwise", folds=3, repetitions=2),
+    ], ids=["batchwise", "foldwise"])
+    def test_the_report_does_not_depend_on_the_table_order(self, monkeypatch, proto):
+        # Rows read the outcome table by run key, (mode, lambda), so a table
+        # that lists its runs in another order gives the same bytes; the
+        # grid repeats a lambda and holds lambda 0, the baselines' key.
+        args = (RECIPE, (0.1, 0.0, 0.05, 0.1), proto, small_config(), tabular_spec(4))
+        default = lambda_sweep(*args, samples=400)
+        run_reps = bench._run_reps
+        monkeypatch.setattr(bench, "_run_reps", lambda task: dict(reversed(run_reps(task).items())))
+        assert lambda_sweep(*args, samples=400).to_json() == default.to_json()
 
     @pytest.mark.parametrize("splits, repetitions, jobs, cpus, workers, tasks", [
         (((0.5, 2),), 2, 8, 8, [2], [2]),

@@ -63,6 +63,10 @@ class TestFragment:
         with pytest.raises(DataError, match="exceeds"):
             fragment(toy_dataset(n=5), 6)
 
+    def test_zero_batches_rejected(self):
+        with pytest.raises(DataError, match="batch count must be >= 1, got 0"):
+            fragment(toy_dataset(n=5), 0)
+
 
 class TestSynthShift:
     def test_no_drift_batches_agree_within_sampling_error(self):
@@ -130,6 +134,11 @@ class TestSynthShift:
         b, _ = synth_shift(recipe, 50, seed=11)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
+
+    def test_one_feature_recipe_is_drawn(self):
+        recipe = ShiftRecipe(kind="mean_drift", batch_count=2, features=1, delta=0.5)
+        ds, plan = synth_shift(recipe, 30, seed=0)
+        assert ds.features.shape == (60, 1) and plan.sizes == (30, 30)
 
     def test_degenerate_recipe_rejected(self):
         with pytest.raises(DataError, match="delta"):
@@ -389,3 +398,8 @@ class TestValidationSplit:
     def test_bad_fraction_rejected(self):
         with pytest.raises(DataError, match="fraction"):
             train_validation_split(toy_dataset(), 1.5)
+
+    def test_one_row_leaves_no_training_data(self):
+        # The holdout takes at least one row, here the only one.
+        with pytest.raises(DataError, match="leaves no training data"):
+            train_validation_split(toy_dataset(n=1), 0.2)

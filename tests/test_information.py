@@ -84,6 +84,16 @@ class TestQuadratureOracle:
         # Exact two-term value for p=0.5 against q=0.6.
         assert discrete_kl([0.5, 0.5], [0.6, 0.4]) == pytest.approx(0.0204109973, abs=1e-9)
 
+    @pytest.mark.parametrize("p, q, message", [
+        ([1.0, 0.0], [0.5, 0.5], "positive"),
+        ([0.5, 0.5], [1.0, 0.0], "positive"),
+        ([0.5, 0.6], [0.5, 0.5], "sum to one"),
+        ([0.5, 0.5], [0.4, 0.4], "sum to one"),
+    ], ids=["zero_in_p", "zero_in_q", "p_unnormalised", "q_unnormalised"])
+    def test_discrete_sum_needs_two_positive_distributions(self, p, q, message):
+        with pytest.raises(InformationError, match=message):
+            discrete_kl(p, q)
+
 
 class TestAnalyticFisher:
     def test_bernoulli_half(self):

@@ -65,7 +65,8 @@ def test_every_mutation_raises_the_module_error(seed):
 
 @pytest.mark.parametrize(
     "payload, message",
-    [({"schema_version": 1}, "missing key 'records'"), ("x", "JSON object")],
+    [({"schema_version": 1}, "missing key 'records'"), ("x", "JSON object"),
+     ({"schema_version": 1, "records": []}, "'records' must not be empty")],
 )
 def test_partial_payload_rejected(payload, message):
     with pytest.raises(TrainerError, match=message):
